@@ -1,17 +1,17 @@
 //! `lock-order` — `cdcs-serve` acquires its mutexes in one declared order.
 //!
-//! The daemon holds six mutexes across four layers (server → scheduler →
-//! job → admission). Deadlock needs two functions acquiring two of them in
-//! opposite orders, so the pass extracts, per function, the sequence of
-//! lock acquisitions appearing in the body and checks every ordered pair
-//! against [`ORDER`]. The check is conservative-lexical: a later
+//! The daemon holds seven mutexes across five layers (server → fleet →
+//! scheduler → job → admission). Deadlock needs two functions acquiring
+//! two of them in opposite orders, so the pass extracts, per function, the
+//! sequence of lock acquisitions appearing in the body and checks every
+//! ordered pair against [`ORDER`]. The check is conservative-lexical: a later
 //! acquisition counts even if the earlier guard was already dropped —
 //! waive those lines with `lint: allow(lock-order) — guard dropped above`.
 //!
 //! Acquisitions are recognized three ways:
 //! * directly — `<name>.lock()` (receiver ident before the call);
 //! * through the named wrapper methods ([`WRAPPERS`]: `lock_jobs`,
-//!   `lock_phase`, `lock_running`);
+//!   `lock_fleet`, `lock_phase`, `lock_running`);
 //! * through a bare `self.lock()` whose meaning is file-specific
 //!   ([`SELF_ALIAS`]).
 //!
@@ -27,7 +27,7 @@ const LINT: &str = "lock-order";
 
 /// The declared acquisition order, outermost first. Derived from the
 /// daemon's layering: the server's job list is the entry point, the
-/// fleet's runner/lease/ring state nests next (its poll path holds
+/// fleet's runner and lease state nests next (its poll path holds
 /// `fleet` while claiming from the rotation — the second deliberate
 /// nesting), the scheduler's rotation coordinates workers, per-job state
 /// nests inside (the running-cell bookkeeping is touch-and-release

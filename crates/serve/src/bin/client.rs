@@ -21,6 +21,10 @@
 //! failures (connection refused/dropped, `429` + `Retry-After`, daemon
 //! restarts mid-`run`) are retried with bounded exponential backoff —
 //! tune with `--retries N` (retries after the first attempt).
+//!
+//! `cdcs run` long-polls the job's status: `--poll-ms N` (default 200) is
+//! the longest a single status request waits for the job to finish, so
+//! the report arrives as soon as the job is done, not on a poll tick.
 
 use cdcs_bench::arg_value_from;
 use cdcs_bench::exp::{BaseConfig, ExperimentSpec};
@@ -89,13 +93,13 @@ fn emit_report(args: &[String], report: &str) -> Result<(), String> {
 /// Renders one fleet snapshot as a runner table plus fleet totals.
 fn print_fleet(fleet: &FleetStatus) {
     println!(
-        "{:>4}  {:<20} {:>7} {:>10} {:>7}",
-        "id", "runner", "leases", "completed", "bucket"
+        "{:>4}  {:<20} {:>7} {:>10}",
+        "id", "runner", "leases", "completed"
     );
     for r in &fleet.runners {
         println!(
-            "{:>4}  {:<20} {:>7} {:>10} {:>7}",
-            r.id, r.name, r.active_leases, r.completed, r.bucket_depth
+            "{:>4}  {:<20} {:>7} {:>10}",
+            r.id, r.name, r.active_leases, r.completed
         );
     }
     println!(

@@ -7,10 +7,14 @@
 //! plus jitter, honors `Retry-After` on `429`/`503`, and
 //! [`Client::run`] survives a daemon *restart* by resubmitting its spec
 //! when the job id it was polling no longer exists.
+//!
+//! [`Client::run`] long-polls (`GET /jobs/<id>?wait_ms=`): the daemon
+//! answers the moment the job finishes, so a job's latency is its run
+//! time, not a multiple of the poll interval.
 
 use crate::http;
 use crate::protocol::{ErrorReply, FleetStatus, JobList, JobState, JobStatus, SubmitReply};
-use std::time::{Duration, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 /// Bounded exponential backoff for transient failures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -132,7 +136,11 @@ impl Client {
     ///
     /// Returns transport errors and server-side rejections.
     pub fn status(&self, id: u64) -> Result<JobStatus, String> {
-        let body = self.call("GET", &format!("/jobs/{id}"), None)?;
+        self.status_at(&format!("/jobs/{id}"))
+    }
+
+    fn status_at(&self, path: &str) -> Result<JobStatus, String> {
+        let body = self.call("GET", path, None)?;
         serde_json::from_str(&body).map_err(|e| format!("parsing status: {e}"))
     }
 
@@ -158,8 +166,8 @@ impl Client {
         self.call("GET", &format!("/jobs/{id}/report"), None)
     }
 
-    /// The remote-runner fleet's live status (runners, routing buckets,
-    /// outstanding leases, lifetime completed/requeued counts).
+    /// The remote-runner fleet's live status (runners, outstanding
+    /// leases, lifetime completed/requeued counts).
     ///
     /// # Errors
     ///
@@ -180,9 +188,13 @@ impl Client {
     }
 
     /// Submits a spec, polls until it reaches a terminal state, and
-    /// returns the report JSON. If the daemon restarts mid-run (the
-    /// polled job id stops existing), the spec is resubmitted — bounded,
-    /// and invisible to the caller beyond added latency.
+    /// returns the report JSON. Each status request long-polls for up to
+    /// `poll`; a non-terminal reply that comes back sooner (a daemon that
+    /// ignores `wait_ms`) is followed by a sleep for the rest of `poll`, so
+    /// such a daemon sees one request per `poll`. If the daemon restarts
+    /// mid-run (the polled job id stops existing), the spec is
+    /// resubmitted — bounded, and invisible to the caller beyond added
+    /// latency.
     ///
     /// # Errors
     ///
@@ -192,7 +204,8 @@ impl Client {
         let mut id = self.submit(spec_json)?;
         let mut resubmits_left = 3u32;
         loop {
-            let status = match self.status(id) {
+            let asked = Instant::now();
+            let status = match self.status_at(&format!("/jobs/{id}?wait_ms={}", poll.as_millis())) {
                 Ok(status) => status,
                 // `call` formats server-side rejections as "HTTP <code>:".
                 // A 404 for a job we created means the daemon lost its
@@ -216,7 +229,9 @@ impl Client {
                         status.error.unwrap_or_else(|| "unknown error".into())
                     ))
                 }
-                JobState::Queued | JobState::Running => std::thread::sleep(poll),
+                JobState::Queued | JobState::Running => {
+                    std::thread::sleep(poll.saturating_sub(asked.elapsed()));
+                }
             }
         }
     }

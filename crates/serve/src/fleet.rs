@@ -1,25 +1,25 @@
-//! Fleet coordination: runners, leases, and consistent-hash routing.
+//! Fleet coordination: runners, leases, and blocking polls.
 //!
 //! The daemon's scheduler already claims cells one at a time from job
 //! sessions — this module turns that claim point into a *worker
 //! protocol*. A [`Fleet`] tracks registered runners, grants each poll one
-//! leased [`WorkUnit`] (routed by a seeded [`HashRing`] so every unit has
-//! one deterministic owner shard), and revokes leases whose heartbeats
-//! stop — re-queueing the unit through the session seam so a dead runner
-//! costs only its in-flight cells. Results flow back through
+//! leased [`WorkUnit`] claimed from the scheduler rotation (the same
+//! fairness step a local pool worker takes), and revokes leases whose
+//! heartbeats stop — re-queueing the unit through the session seam so a
+//! dead runner costs only its in-flight cells. Results flow back through
 //! [`Fleet::result`], which is exactly-once by construction: the lease
 //! table is consulted and cleared under the fleet's single mutex, so a
 //! revoked lease's late result is detectably stale and dropped.
 //!
-//! Routing: a poll first drains the runner's own *bucket* (units claimed
-//! earlier that the ring routed here), then claims fresh units from the
-//! scheduler rotation — fairness-identical to a local pool worker — and
-//! either grants them (routed to the poller) or parks them in the owning
-//! runner's bucket. Buckets are capped; a claim that would overflow one
-//! is un-claimed on the spot (the session re-queues it), bounding
-//! head-of-line blocking behind a slow owner. Runner-side death is
-//! handled one level up: a runner silent past its TTL leaves the ring
-//! and its bucket and leases are re-queued wholesale.
+//! Placement: each unit goes to whichever runner polls first. A poll that
+//! finds nothing to claim *blocks* (up to its `wait_ms`, capped below the
+//! runner TTL so a waiting runner is never expired mid-poll) on the
+//! scheduler's work generation, without holding the fleet lock, and
+//! retries the claim the moment a job arrives or a unit re-queues. There
+//! is no affinity routing: a cell is a pure function of `(config, cell)`
+//! and a runner keeps no state keyed by unit, so steering a unit to one
+//! "owner" would only queue it behind that owner. A runner silent past
+//! its TTL is expired and its leases are re-queued wholesale.
 //!
 //! None of this can change report bytes: every cell's result derives
 //! from `(config, cell)` alone, so *where* a unit runs — and how many
@@ -36,16 +36,10 @@ use crate::faults::FaultPlan;
 use crate::job::{Job, LeasePayload, WorkUnit};
 use crate::lease::LeaseTable;
 use crate::protocol::{FleetStatus, LeaseGrant, LeaseResult, RegisterReply, RunnerStatus};
-use crate::ring::{HashRing, DEFAULT_VNODES};
 use crate::scheduler::{run_contained, Scheduler};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
-
-/// Units parked per runner bucket before the fleet stops claiming on its
-/// behalf: bounds head-of-line blocking behind a slow owner while still
-/// letting a healthy fleet pipeline a few units per runner.
-const BUCKET_CAP: usize = 4;
 
 /// Fleet knobs (all defaultable; the server wires CLI flags through).
 #[derive(Debug, Clone)]
@@ -53,12 +47,9 @@ pub struct FleetConfig {
     /// Heartbeat window: a lease unbeaten for this long is revoked.
     pub lease_ttl: Duration,
     /// Liveness window: a runner silent (no poll/beat/result) for this
-    /// long is deregistered and its work re-queued.
+    /// long is deregistered and its work re-queued. A blocking poll waits
+    /// at most half of it.
     pub runner_ttl: Duration,
-    /// Virtual nodes per runner on the routing ring.
-    pub vnodes: usize,
-    /// Ring seed: fixes placement for reproducible routing in tests.
-    pub seed: u64,
 }
 
 impl Default for FleetConfig {
@@ -66,8 +57,6 @@ impl Default for FleetConfig {
         FleetConfig {
             lease_ttl: Duration::from_secs(5),
             runner_ttl: Duration::from_secs(20),
-            vnodes: DEFAULT_VNODES,
-            seed: 0xCDC5_F1EE,
         }
     }
 }
@@ -77,15 +66,12 @@ struct RunnerEntry {
     name: String,
     /// Last poll/heartbeat/result — the liveness clock.
     last_seen: Instant,
-    /// Units the ring routed here, awaiting this runner's next poll.
-    bucket: VecDeque<(Arc<Job>, WorkUnit)>,
     completed: usize,
 }
 
 /// Everything the fleet mutex guards.
 struct FleetState {
     runners: BTreeMap<u64, RunnerEntry>,
-    ring: HashRing,
     leases: LeaseTable,
     next_runner_id: u64,
     completed: usize,
@@ -127,7 +113,6 @@ impl Fleet {
         Fleet {
             fleet: Mutex::new(FleetState {
                 runners: BTreeMap::new(),
-                ring: HashRing::new(config.vnodes, config.seed),
                 leases: LeaseTable::new(),
                 next_runner_id: 0,
                 completed: 0,
@@ -145,8 +130,8 @@ impl Fleet {
         self.fleet.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Registers a runner: assigns its id, places it on the ring, and
-    /// returns the protocol knobs it must honor.
+    /// Registers a runner: assigns its id and returns the protocol knobs
+    /// it must honor.
     pub fn register(&self, name: &str) -> RegisterReply {
         let mut state = self.lock_fleet();
         state.next_runner_id += 1;
@@ -158,11 +143,9 @@ impl Fleet {
                 // lint: allow(determinism) — liveness bookkeeping only;
                 // no result byte depends on wall-clock reads.
                 last_seen: Instant::now(),
-                bucket: VecDeque::new(),
                 completed: 0,
             },
         );
-        state.ring.add(id);
         RegisterReply {
             runner_id: id,
             lease_ttl_ms: self.config.lease_ttl.as_millis() as u64,
@@ -170,87 +153,65 @@ impl Fleet {
         }
     }
 
-    /// Deregisters a runner (graceful exit): removes it from the ring and
-    /// re-queues its bucket and outstanding leases. `false` if unknown.
+    /// Deregisters a runner (graceful exit), re-queueing its outstanding
+    /// leases. `false` if unknown.
     pub fn deregister(&self, runner: u64, sched: &Scheduler) -> bool {
         let mut deferred = Deferred::default();
-        let known = {
-            let mut state = self.lock_fleet();
-            match state.runners.remove(&runner) {
-                Some(entry) => {
-                    state.ring.remove(runner);
-                    let lost = entry.bucket.len() + state.leases.active_for(runner);
-                    state.requeued += lost;
-                    deferred.requeue.extend(entry.bucket);
-                    deferred.requeue.extend(
-                        state
-                            .leases
-                            .revoke_runner(runner)
-                            .into_iter()
-                            .map(|l| (l.job, l.unit)),
-                    );
-                    true
-                }
-                None => false,
-            }
-        };
+        let known = drop_runner(&mut self.lock_fleet(), runner, &mut deferred);
         deferred.apply(sched);
         known
     }
 
-    /// Handles one poll: refreshes the runner's liveness, then grants at
-    /// most one lease — from its bucket first, else by claiming fresh
-    /// units from the rotation and routing them (see module docs).
-    /// `Err` means the runner is unknown (expired or never registered);
-    /// it must re-register.
-    pub fn poll(&self, runner: u64, sched: &Scheduler) -> Result<Option<LeaseGrant>, String> {
+    /// Handles one poll: grants at most one lease, claimed from the
+    /// rotation for whichever runner asks. With nothing to claim it waits
+    /// up to `wait` (capped at half the runner TTL, so the waiting runner
+    /// never expires mid-poll) for new or re-queued work, retrying the
+    /// claim each time the scheduler signals some; `Ok(None)` once the
+    /// wait runs out or the pool stops. `Err` means the runner is unknown
+    /// (expired or never registered); it must re-register.
+    pub fn poll(
+        &self,
+        runner: u64,
+        sched: &Scheduler,
+        wait: Duration,
+    ) -> Result<Option<LeaseGrant>, String> {
+        let deadline = Instant::now() + wait.min(self.config.runner_ttl / 2);
+        loop {
+            let (grant, seen) = self.try_grant(runner, sched)?;
+            if grant.is_some() {
+                return Ok(grant);
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() || !sched.wait_for_work(seen, left) {
+                return Ok(None);
+            }
+        }
+    }
+
+    /// One claim attempt for `runner`: refreshes its liveness and leases
+    /// it the rotation's next unit, if any. Also returns the scheduler's
+    /// work generation at the claim, for [`Scheduler::wait_for_work`].
+    fn try_grant(
+        &self,
+        runner: u64,
+        sched: &Scheduler,
+    ) -> Result<(Option<LeaseGrant>, u64), String> {
         let mut deferred = Deferred::default();
-        let grant = {
+        let (grant, generation) = {
             let mut state = self.lock_fleet();
             if !state.runners.contains_key(&runner) {
                 return Err(format!("unknown runner {runner}; re-register"));
             }
             touch(&mut state, runner);
-            let mut grant = None;
-            if let Some((job, unit)) = state
-                .runners
-                .get_mut(&runner)
-                .and_then(|e| e.bucket.pop_front())
-            {
-                grant = Some(self.grant(&mut state, runner, job, unit, &mut deferred));
-            }
-            while grant.is_none() {
-                let outcome = sched.try_claim_unit();
-                deferred.finalize.extend(outcome.drained);
-                let Some((job, unit)) = outcome.claimed else {
-                    break;
-                };
-                let owner = state.ring.route(unit_key(job.id, unit)).unwrap_or(runner);
-                if owner == runner {
-                    grant = Some(self.grant(&mut state, runner, job, unit, &mut deferred));
-                } else {
-                    let bucket = state
-                        .runners
-                        .get_mut(&owner)
-                        .map(|e| &mut e.bucket)
-                        .filter(|b| b.len() < BUCKET_CAP);
-                    match bucket {
-                        Some(bucket) => bucket.push_back((job, unit)),
-                        None => {
-                            // Owner's bucket is full (or the owner raced
-                            // away): un-claim rather than over-buffer, and
-                            // stop scanning — the rotation front is
-                            // blocked on that owner draining.
-                            deferred.requeue.push((job, unit));
-                            break;
-                        }
-                    }
-                }
-            }
-            grant
+            let outcome = sched.try_claim_unit();
+            deferred.finalize = outcome.drained;
+            let grant = outcome
+                .claimed
+                .map(|(job, unit)| self.grant(&mut state, runner, job, unit, &mut deferred));
+            (grant, outcome.generation)
         };
         deferred.apply(sched);
-        Ok(grant)
+        Ok((grant, generation))
     }
 
     /// Builds the lease grant for one unit. An injected `lose_lease`
@@ -355,19 +316,7 @@ impl Fleet {
                 .map(|(id, _)| *id)
                 .collect();
             for id in dead {
-                if let Some(entry) = state.runners.remove(&id) {
-                    state.ring.remove(id);
-                    let lost = entry.bucket.len() + state.leases.active_for(id);
-                    state.requeued += lost;
-                    deferred.requeue.extend(entry.bucket);
-                    deferred.requeue.extend(
-                        state
-                            .leases
-                            .revoke_runner(id)
-                            .into_iter()
-                            .map(|l| (l.job, l.unit)),
-                    );
-                }
+                drop_runner(&mut state, id, &mut deferred);
             }
         }
         deferred.apply(sched);
@@ -385,7 +334,6 @@ impl Fleet {
                     name: entry.name.clone(),
                     active_leases: state.leases.active_for(*id),
                     completed: entry.completed,
-                    bucket_depth: entry.bucket.len(),
                 })
                 .collect(),
             active_leases: state.leases.active(),
@@ -395,21 +343,24 @@ impl Fleet {
     }
 }
 
+/// Removes a runner and revokes every lease it held, counting and
+/// deferring their re-queue. `false` if the runner was unknown.
+fn drop_runner(state: &mut FleetState, runner: u64, deferred: &mut Deferred) -> bool {
+    if state.runners.remove(&runner).is_none() {
+        return false;
+    }
+    let lost = state.leases.revoke_runner(runner);
+    state.requeued += lost.len();
+    deferred
+        .requeue
+        .extend(lost.into_iter().map(|l| (l.job, l.unit)));
+    true
+}
+
 /// Refreshes a runner's liveness clock.
 fn touch(state: &mut FleetState, runner: u64) {
     if let Some(entry) = state.runners.get_mut(&runner) {
         // lint: allow(determinism) — liveness bookkeeping only.
         entry.last_seen = Instant::now();
     }
-}
-
-/// The ring key for one unit of one job: full-width mix of job id and
-/// cell index (inline units use a sentinel index), so consecutive cells
-/// of one job spread across the whole fleet.
-fn unit_key(job_id: u64, unit: WorkUnit) -> u64 {
-    let index = match unit {
-        WorkUnit::Cell(i) => i as u64,
-        WorkUnit::Inline => u64::MAX,
-    };
-    job_id.rotate_left(32) ^ index
 }

@@ -13,6 +13,10 @@
 //! panicking analysis run, or an injected fault) fails this job with the
 //! captured message; a passed deadline moves it to `DeadlineExceeded`;
 //! neither takes down a worker, the daemon, or any other tenant's jobs.
+//!
+//! Every phase change goes through one helper that also signals a condvar,
+//! so a status long-poll ([`Job::wait_terminal`]) returns the moment the
+//! job finishes instead of on the client's next poll.
 
 use crate::faults::FaultPlan;
 use crate::protocol::{JobState, JobStatus};
@@ -20,7 +24,7 @@ use cdcs_bench::exp::{ExperimentReport, ExperimentSpec, GridAssembly, ReportData
 use cdcs_sim::session::clamp_intra_cell;
 use cdcs_sim::{GridSession, SessionOptions, SimResult};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Internal lifecycle (the wire state plus the finished payloads).
@@ -107,6 +111,8 @@ pub struct Job {
     pub deadline: Option<Instant>,
     work: Work,
     phase: Mutex<Phase>,
+    /// Signalled on every `phase` write (paired with the `phase` mutex).
+    phase_changed: Condvar,
     /// Cells currently executing: `(cell index, start time)` — the
     /// watchdog's view for per-cell wall-clock enforcement.
     running_cells: Mutex<Vec<(usize, Instant)>>,
@@ -161,6 +167,7 @@ impl Job {
             deadline: options.deadline,
             work,
             phase: Mutex::new(Phase::Queued),
+            phase_changed: Condvar::new(),
             running_cells: Mutex::new(Vec::new()),
         })
     }
@@ -185,7 +192,7 @@ impl Job {
         if unit.is_some() {
             let mut phase = self.lock_phase();
             if matches!(*phase, Phase::Queued) {
-                *phase = Phase::Running;
+                self.set_phase(&mut phase, Phase::Running);
             }
         }
         unit
@@ -214,13 +221,10 @@ impl Job {
                     Err(format!("job panicked: {}", panic_message(payload.as_ref())))
                 });
                 self.lock_running().retain(|(cell, _)| *cell != 0);
-                let mut phase = self.lock_phase();
-                if !phase.is_terminal() {
-                    *phase = match outcome {
-                        Ok(report_json) => Phase::Done { report_json },
-                        Err(error) => Phase::Failed { error },
-                    };
-                }
+                self.finish(match outcome {
+                    Ok(report_json) => Phase::Done { report_json },
+                    Err(error) => Phase::Failed { error },
+                });
             }
             _ => unreachable!("work unit claimed from this job"),
         }
@@ -238,14 +242,11 @@ impl Job {
                 let expired = self.deadline.is_some_and(|d| Instant::now() >= d);
                 if (cancelled.load(Ordering::SeqCst) || expired) && !claimed.load(Ordering::SeqCst)
                 {
-                    let mut phase = self.lock_phase();
-                    if !phase.is_terminal() {
-                        *phase = if expired {
-                            Phase::DeadlineExceeded
-                        } else {
-                            Phase::Cancelled
-                        };
-                    }
+                    self.finish(if expired {
+                        Phase::DeadlineExceeded
+                    } else {
+                        Phase::Cancelled
+                    });
                 }
             }
             return;
@@ -269,11 +270,12 @@ impl Job {
             // Stopped before every cell was issued: partial work, no
             // report. (A cancel that lands after the last cell completed
             // still produces a full report below.)
-            *phase = if session.deadline_exceeded() {
+            let stopped = if session.deadline_exceeded() {
                 Phase::DeadlineExceeded
             } else {
                 Phase::Cancelled
             };
+            self.set_phase(&mut phase, stopped);
             return;
         }
         let mut results = Vec::with_capacity(total);
@@ -281,7 +283,7 @@ impl Job {
             match slot.expect("checked above") {
                 Ok(result) => results.push(result),
                 Err(error) => {
-                    *phase = Phase::Failed { error };
+                    self.set_phase(&mut phase, Phase::Failed { error });
                     return;
                 }
             }
@@ -295,12 +297,13 @@ impl Job {
             spec: self.spec.clone(),
             data: ReportData::Grid(assembly.assemble(results)),
         };
-        *phase = match serde_json::to_string_pretty(&report) {
+        let done = match serde_json::to_string_pretty(&report) {
             Ok(report_json) => Phase::Done { report_json },
             Err(error) => Phase::Failed {
                 error: format!("serializing report: {error}"),
             },
         };
+        self.set_phase(&mut phase, done);
     }
 
     /// The wire payload for leasing `unit` to a remote runner.
@@ -343,13 +346,10 @@ impl Job {
     /// (a late result after cancellation is simply dropped).
     pub fn deliver_inline(&self, outcome: Result<String, String>) {
         if matches!(self.work, Work::Inline { .. }) {
-            let mut phase = self.lock_phase();
-            if !phase.is_terminal() {
-                *phase = match outcome {
-                    Ok(report_json) => Phase::Done { report_json },
-                    Err(error) => Phase::Failed { error },
-                };
-            }
+            self.finish(match outcome {
+                Ok(report_json) => Phase::Done { report_json },
+                Err(error) => Phase::Failed { error },
+            });
         }
     }
 
@@ -368,10 +368,7 @@ impl Job {
     pub fn expire_deadline(&self) {
         self.try_finalize();
         self.cancel();
-        let mut phase = self.lock_phase();
-        if !phase.is_terminal() {
-            *phase = Phase::DeadlineExceeded;
-        }
+        self.finish(Phase::DeadlineExceeded);
     }
 
     /// Forces the job into `Failed` with `error` (unless already
@@ -380,10 +377,17 @@ impl Job {
     /// unwinds, and the watchdog's verdict for stuck cells.
     pub fn fail_with(&self, error: String) {
         self.cancel();
-        let mut phase = self.lock_phase();
-        if !phase.is_terminal() {
-            *phase = Phase::Failed { error };
-        }
+        self.finish(Phase::Failed { error });
+    }
+
+    /// Blocks until the job is terminal or `timeout` passes — the status
+    /// long-poll. Wakes on the phase write itself, not on a poll tick.
+    pub(crate) fn wait_terminal(&self, timeout: Duration) {
+        let phase = self.lock_phase();
+        let _ = self
+            .phase_changed
+            .wait_timeout_while(phase, timeout, |phase| !phase.is_terminal())
+            .unwrap_or_else(PoisonError::into_inner);
     }
 
     /// The longest-running in-flight cell, as `(index, elapsed)`.
@@ -441,15 +445,31 @@ impl Job {
         }
     }
 
+    /// The one place `phase` is written: every transition wakes the
+    /// status long-polls waiting in [`Job::wait_terminal`].
+    fn set_phase(&self, phase: &mut MutexGuard<'_, Phase>, next: Phase) {
+        **phase = next;
+        self.phase_changed.notify_all();
+    }
+
+    /// Moves the job to the terminal `next` unless it already ended (the
+    /// first verdict wins).
+    fn finish(&self, next: Phase) {
+        let mut phase = self.lock_phase();
+        if !phase.is_terminal() {
+            self.set_phase(&mut phase, next);
+        }
+    }
+
     // Poison tolerance: phase/running-cell updates are straight-line
     // (no user code runs under these locks), so a poisoned guard's data
     // is intact; recovering keeps one panicked thread from wedging
     // status, cancellation, and shutdown for everyone else.
-    fn lock_phase(&self) -> std::sync::MutexGuard<'_, Phase> {
+    fn lock_phase(&self) -> MutexGuard<'_, Phase> {
         self.phase.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn lock_running(&self) -> std::sync::MutexGuard<'_, Vec<(usize, Instant)>> {
+    fn lock_running(&self) -> MutexGuard<'_, Vec<(usize, Instant)>> {
         self.running_cells
             .lock()
             .unwrap_or_else(PoisonError::into_inner)

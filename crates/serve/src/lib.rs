@@ -22,13 +22,22 @@
 //! panics, slow cells, and dropped/garbled connections to prove each
 //! degradation mode end to end.
 //!
-//! Two binaries ship with the crate:
+//! Cells can also run on remote machines: [`fleet`] leases them to
+//! `cdcs-runner` processes ([`runner`]) that poll over HTTP. Nothing in
+//! the service waits on a fixed sleep: status requests and runner polls
+//! *long-poll* (`?wait_ms=`), returning the moment the job finishes or a
+//! unit becomes claimable, and a runner's heartbeat thread stops the
+//! moment its cell returns.
+//!
+//! Three binaries ship with the crate:
 //!
 //! * `cdcs-serve` — the daemon (`--addr`, `--workers`, admission and
-//!   watchdog knobs, `CDCS_FAULT`);
+//!   watchdog knobs, fleet TTLs, `CDCS_FAULT`);
 //! * `cdcs` — the client: `submit` / `status` / `report` / `cancel` /
-//!   `run` subcommands speaking the JSON protocol in [`protocol`], with
-//!   bounded exponential-backoff retry on transient failures.
+//!   `run` / `fleet` subcommands speaking the JSON protocol in
+//!   [`protocol`], with bounded exponential-backoff retry on transient
+//!   failures;
+//! * `cdcs-runner` — a fleet worker.
 //!
 //! Everything is dependency-free `std::net` HTTP/1.1 ([`http`]) over the
 //! vendored `serde_json` — the workspace still builds fully offline.
@@ -41,7 +50,6 @@ pub mod http;
 pub mod job;
 pub mod lease;
 pub mod protocol;
-pub mod ring;
 pub mod runner;
 pub mod scheduler;
 pub mod server;

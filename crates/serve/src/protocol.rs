@@ -94,13 +94,15 @@ pub struct RunnerHello {
 /// it must honor.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct RegisterReply {
-    /// Server-assigned runner id (also its consistent-hash ring identity).
+    /// Server-assigned runner id.
     #[serde(default)]
     pub runner_id: u64,
     /// Heartbeat window: a lease unbeaten for this long is revoked.
     #[serde(default)]
     pub lease_ttl_ms: u64,
-    /// Suggested idle poll interval.
+    /// How long an idle poll asks to wait (`?wait_ms=`) for work, and
+    /// the least time between two idle polls: a runner whose empty poll
+    /// comes back sooner (a daemon that answers at once) sleeps the rest.
     #[serde(default)]
     pub poll_ms: u64,
 }
@@ -108,7 +110,8 @@ pub struct RegisterReply {
 /// Reply to `POST /fleet/runners/<id>/poll`.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct PollReply {
-    /// The granted lease, or `None` when no work routed here right now.
+    /// The granted lease, or `None` when no work became claimable within
+    /// the poll's wait.
     #[serde(default)]
     pub lease: Option<LeaseGrant>,
 }
@@ -200,9 +203,6 @@ pub struct RunnerStatus {
     /// Units it has completed.
     #[serde(default)]
     pub completed: usize,
-    /// Units parked in its routing bucket awaiting its next poll.
-    #[serde(default)]
-    pub bucket_depth: usize,
 }
 
 #[cfg(test)]

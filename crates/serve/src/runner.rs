@@ -1,10 +1,14 @@
 //! The runner side of the fleet protocol: what `cdcs-runner` executes.
 //!
-//! A [`Runner`] registers with a daemon, then loops: poll for a lease,
-//! execute it (a grid cell via [`cdcs_sim::runner::run_cell`] on the
-//! shipped `(config, cell)` — the *same entry point* a local session
-//! worker uses, so the result is bit-identical — or a whole analysis
-//! spec via `spec.run()`), heartbeat while working, and post the result.
+//! A [`Runner`] registers with a daemon, then loops: poll for a lease
+//! (a blocking poll: the daemon holds it open for up to `poll_ms` until a
+//! unit becomes claimable), execute it (a grid cell via
+//! [`cdcs_sim::runner::run_cell`] on the shipped `(config, cell)` — the
+//! *same entry point* a local session worker uses, so the result is
+//! bit-identical — or a whole analysis spec via `spec.run()`), heartbeat
+//! while working, and post the result. The heartbeat thread stops the
+//! moment the cell returns, so a lease costs the cell's run time, not a
+//! heartbeat period.
 //! A heartbeat answered `410 Gone` means the lease was revoked (the
 //! daemon re-queued the unit): the runner abandons the work and polls
 //! again. A `404` from poll means the daemon expired this runner (or
@@ -24,9 +28,9 @@ use crate::http;
 use crate::job::panic_message;
 use crate::protocol::{LeaseGrant, LeaseResult, PollReply, RegisterReply, RunnerHello};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A fleet worker bound to one daemon.
 #[derive(Debug, Clone)]
@@ -90,14 +94,19 @@ impl Runner {
                 std::thread::sleep(self.retry.sleep_for(failures));
                 continue;
             };
-            match self.poll(me.runner_id) {
+            let poll_every = Duration::from_millis(me.poll_ms.max(1));
+            let asked = Instant::now();
+            match self.poll(me.runner_id, poll_every) {
                 Ok(Some(lease)) => {
                     failures = 0;
                     self.execute(&me, &lease);
                 }
                 Ok(None) => {
+                    // The daemon waited out `poll_every` for work; one that
+                    // answered sooner (it ignores `wait_ms`, or is shutting
+                    // down) gets no more than one idle poll per interval.
                     failures = 0;
-                    std::thread::sleep(Duration::from_millis(me.poll_ms.max(1)));
+                    std::thread::sleep(poll_every.saturating_sub(asked.elapsed()));
                 }
                 Err(PollFailure::Forgotten) => identity = None,
                 Err(PollFailure::Transport) => {
@@ -132,8 +141,11 @@ impl Runner {
         serde_json::from_str(&response.body).ok()
     }
 
-    fn poll(&self, runner_id: u64) -> Result<Option<LeaseGrant>, PollFailure> {
-        let path = format!("/fleet/runners/{runner_id}/poll");
+    fn poll(&self, runner_id: u64, wait: Duration) -> Result<Option<LeaseGrant>, PollFailure> {
+        let path = format!(
+            "/fleet/runners/{runner_id}/poll?wait_ms={}",
+            wait.as_millis()
+        );
         let response = http::request(&self.addr, "POST", &path, &[], Some("{}"))
             .map_err(|_| PollFailure::Transport)?;
         match response.status {
@@ -150,33 +162,31 @@ impl Runner {
     /// Executes one lease with a heartbeat thread alongside, then posts
     /// the result — unless a heartbeat learned the lease was revoked, in
     /// which case the work is abandoned (its unit is already re-queued).
+    /// The heartbeat thread waits on a channel whose sender the cell's
+    /// thread drops on return, so it ends at once instead of finishing
+    /// its sleep.
     fn execute(&self, me: &RegisterReply, lease: &LeaseGrant) {
-        let lost = AtomicBool::new(false);
-        let done = AtomicBool::new(false);
         // A third of the TTL keeps two full misses inside the window.
         let beat_every = Duration::from_millis((me.lease_ttl_ms / 3).max(10));
-        let result = std::thread::scope(|scope| {
-            scope.spawn(|| {
-                while !done.load(Ordering::SeqCst) {
-                    std::thread::sleep(beat_every);
-                    if done.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let path = format!("/fleet/leases/{}/heartbeat", lease.lease_id);
-                    if let Ok(response) = http::request(&self.addr, "POST", &path, &[], Some("{}"))
-                    {
-                        if response.status == 410 {
-                            lost.store(true, Ordering::SeqCst);
-                            return;
-                        }
+        let (running, cell_done) = mpsc::channel::<()>();
+        let (result, lost) = std::thread::scope(|scope| {
+            // Returns whether a heartbeat found the lease revoked.
+            let beats = scope.spawn(move || {
+                let path = format!("/fleet/leases/{}/heartbeat", lease.lease_id);
+                while let Err(mpsc::RecvTimeoutError::Timeout) = cell_done.recv_timeout(beat_every)
+                {
+                    let response = http::request(&self.addr, "POST", &path, &[], Some("{}"));
+                    if response.is_ok_and(|r| r.status == 410) {
+                        return true;
                     }
                 }
+                false
             });
             let result = run_lease(lease);
-            done.store(true, Ordering::SeqCst);
-            result
+            drop(running);
+            (result, beats.join().unwrap_or(false))
         });
-        if lost.load(Ordering::SeqCst) {
+        if lost {
             return;
         }
         let Ok(body) = serde_json::to_string(&result) else {

@@ -12,6 +12,12 @@
 //! Claims are recorded in a log (job ids, in claim order) so fairness is
 //! observable and testable without timing assumptions.
 //!
+//! Fleet polls claim through the same rotation ([`Scheduler::try_claim_unit`])
+//! and, when it comes back empty, block in [`Scheduler::wait_for_work`] on a
+//! work *generation* that every [`Scheduler::enqueue`] and
+//! [`Scheduler::reenqueue`] bumps — so a waiting runner wakes the moment a
+//! job arrives or a revoked cell re-queues, never a poll interval later.
+//!
 //! Workers are expendable-proof: the whole execute/finalize step runs
 //! inside `catch_unwind`, so an unwind that escapes the per-cell panic
 //! boundary fails *that job* (with the captured message) and the worker
@@ -26,22 +32,28 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 #[derive(Default)]
 struct Rotation {
     queue: VecDeque<Arc<Job>>,
     claim_log: Vec<u64>,
+    /// Bumped whenever work may have become claimable (a job enqueued, a
+    /// unit re-queued): the wake-up signal for blocked fleet polls.
+    generation: u64,
 }
 
-/// The shared scheduler: rotation + pool wake-up.
 /// One non-blocking claim attempt: at most one claimed unit, plus the
 /// jobs drained from the rotation (empty claims) that the caller must
-/// finalize *outside* its own locks.
+/// finalize *outside* its own locks, plus the work generation the scan
+/// saw (the starting point for [`Scheduler::wait_for_work`]).
 pub(crate) struct ClaimOutcome {
     pub claimed: Option<(Arc<Job>, WorkUnit)>,
     pub drained: Vec<Arc<Job>>,
+    pub generation: u64,
 }
 
+/// The shared scheduler: rotation + pool wake-up.
 pub struct Scheduler {
     rotation: Mutex<Rotation>,
     cv: Condvar,
@@ -70,10 +82,11 @@ impl Scheduler {
         }
     }
 
-    /// Adds a job to the rotation and wakes the pool.
+    /// Adds a job to the rotation and wakes the pool and blocked polls.
     pub fn enqueue(&self, job: Arc<Job>) {
         let mut rotation = self.lock();
         rotation.queue.push_back(job);
+        rotation.generation += 1;
         self.cv.notify_all();
     }
 
@@ -106,14 +119,15 @@ impl Scheduler {
     /// and are returned as `drained` for the caller to finalize *outside*
     /// its own locks.
     pub(crate) fn try_claim_unit(&self) -> ClaimOutcome {
-        let mut drained = Vec::new();
-        if self.shutdown.load(Ordering::SeqCst) {
-            return ClaimOutcome {
-                claimed: None,
-                drained,
-            };
-        }
         let mut rotation = self.lock();
+        let mut outcome = ClaimOutcome {
+            claimed: None,
+            drained: Vec::new(),
+            generation: rotation.generation,
+        };
+        if self.shutdown.load(Ordering::SeqCst) {
+            return outcome;
+        }
         for _ in 0..rotation.queue.len() {
             let Some(job) = rotation.queue.pop_front() else {
                 break;
@@ -122,29 +136,42 @@ impl Scheduler {
                 Some(unit) => {
                     rotation.claim_log.push(job.id);
                     rotation.queue.push_back(Arc::clone(&job));
-                    return ClaimOutcome {
-                        claimed: Some((job, unit)),
-                        drained,
-                    };
+                    outcome.claimed = Some((job, unit));
+                    break;
                 }
-                None => drained.push(job),
+                None => outcome.drained.push(job),
             }
         }
-        ClaimOutcome {
-            claimed: None,
-            drained,
-        }
+        outcome
+    }
+
+    /// Blocks until the work generation moves past `seen` (a job arrived
+    /// or a unit re-queued since that claim scan), the pool stops, or
+    /// `timeout` passes. Returns whether another claim is worth trying.
+    /// Reading `seen` under the same lock as the empty scan is what makes
+    /// the wake-up race-free.
+    pub(crate) fn wait_for_work(&self, seen: u64, timeout: Duration) -> bool {
+        let rotation = self.lock();
+        let (rotation, _) = self
+            .cv
+            .wait_timeout_while(rotation, timeout, |r| {
+                r.generation == seen && !self.shutdown.load(Ordering::SeqCst)
+            })
+            .unwrap_or_else(PoisonError::into_inner);
+        rotation.generation != seen && !self.shutdown.load(Ordering::SeqCst)
     }
 
     /// Returns a job to the rotation after a revoked lease re-queued some
-    /// of its work (no-op if the job is already rotating — a job must
-    /// never occupy two rotation slots, or fairness double-counts it).
+    /// of its work, and wakes the pool and blocked polls. A job already
+    /// rotating keeps its one slot (two slots would double-count it in
+    /// fairness), but the wake-up still fires: its re-queued unit is new
+    /// claimable work.
     pub fn reenqueue(&self, job: Arc<Job>) {
         let mut rotation = self.lock();
-        if rotation.queue.iter().any(|j| j.id == job.id) {
-            return;
+        if !rotation.queue.iter().any(|j| j.id == job.id) {
+            rotation.queue.push_back(job);
         }
-        rotation.queue.push_back(job);
+        rotation.generation += 1;
         self.cv.notify_all();
     }
 

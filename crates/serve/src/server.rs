@@ -10,6 +10,9 @@
 //!   `X-Deadline-Ms` header sets the job's wall-clock deadline.
 //! * `GET /jobs` — every job's status, in submission order.
 //! * `GET /jobs/<id>` — one job's live status (per-cell progress).
+//!   With `?wait_ms=N` it long-polls: it replies once the job is terminal
+//!   or after N ms (capped at [`MAX_WAIT`]), whichever comes first. A
+//!   malformed `wait_ms` is `400`.
 //! * `GET /jobs/<id>/report` — the finished [`ExperimentReport`] JSON,
 //!   byte-equal to the `out/<name>.json` artifact the same spec produces
 //!   in process; `409` while the job is still running.
@@ -22,6 +25,9 @@
 //! * `POST /fleet/runners` — register; body [`RunnerHello`], reply
 //!   [`crate::protocol::RegisterReply`] with the lease TTL to honor.
 //! * `POST /fleet/runners/<id>/poll` — lease at most one unit of work.
+//!   With `?wait_ms=N` an empty poll blocks until a unit becomes
+//!   claimable or N ms pass (capped at [`MAX_WAIT`] and at half the
+//!   runner TTL); without it the poll answers at once.
 //! * `DELETE /fleet/runners/<id>` — graceful deregistration (held work
 //!   re-queues immediately).
 //! * `POST /fleet/leases/<id>/heartbeat` — keep a lease alive; `410` once
@@ -55,6 +61,14 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// Read/write timeout on every accepted connection.
+const CONN_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// The longest one long-poll (`?wait_ms=` on a job status or a runner
+/// poll) holds its connection: a few seconds, well inside
+/// [`CONN_TIMEOUT`].
+pub const MAX_WAIT: Duration = Duration::from_secs(5);
+
 /// Daemon configuration. [`ServerConfig::new`] gives the permissive
 /// defaults (no admission limits, no watchdog, no faults) — the shape the
 /// pre-hardening daemon had.
@@ -74,7 +88,7 @@ pub struct ServerConfig {
     pub cell_timeout: Option<Duration>,
     /// Fault-injection plan (empty by default).
     pub faults: Arc<FaultPlan>,
-    /// Runner-fleet knobs (lease/runner TTLs, ring shape).
+    /// Runner-fleet knobs (lease and runner TTLs).
     pub fleet: FleetConfig,
 }
 
@@ -178,9 +192,8 @@ impl JobServer {
                 // a client that connects and goes silent must never wedge
                 // the accept loop (or `GET /healthz`) — it times out in
                 // its own thread instead.
-                let timeout = Some(Duration::from_secs(10));
-                let _ = stream.set_read_timeout(timeout);
-                let _ = stream.set_write_timeout(timeout);
+                let _ = stream.set_read_timeout(Some(CONN_TIMEOUT));
+                let _ = stream.set_write_timeout(Some(CONN_TIMEOUT));
                 let conn_state = Arc::clone(&accept_state);
                 std::thread::spawn(move || conn_state.handle(&mut stream));
             }
@@ -424,7 +437,14 @@ impl ServerState {
                 };
                 Reply::json(&list)
             }
-            ("GET", ["jobs", id]) => self.with_job(id, |job| Reply::json(&job.status())),
+            ("GET", ["jobs", id]) => with_wait(&request.path, |wait| {
+                self.with_job(id, |job| {
+                    if let Some(wait) = wait {
+                        job.wait_terminal(wait);
+                    }
+                    Reply::json(&job.status())
+                })
+            }),
             ("GET", ["jobs", id, "report"]) => self.with_job(id, |job| match job.report_json() {
                 Some(json) => Reply::ok(json),
                 None => Reply::error(
@@ -449,12 +469,15 @@ impl ServerState {
             ),
             ("GET", ["fleet"]) => Reply::json(&self.fleet.status()),
             ("POST", ["fleet", "runners"]) => self.post_runner(request),
-            ("POST", ["fleet", "runners", id, "poll"]) => {
-                with_id(id, "runner", |id| match self.fleet.poll(id, &self.sched) {
-                    Ok(lease) => Reply::json(&PollReply { lease }),
-                    Err(message) => Reply::error(404, "Not Found", &message),
+            ("POST", ["fleet", "runners", id, "poll"]) => with_wait(&request.path, |wait| {
+                with_id(id, "runner", |id| {
+                    let wait = wait.unwrap_or(Duration::ZERO);
+                    match self.fleet.poll(id, &self.sched, wait) {
+                        Ok(lease) => Reply::json(&PollReply { lease }),
+                        Err(message) => Reply::error(404, "Not Found", &message),
+                    }
                 })
-            }
+            }),
             ("DELETE", ["fleet", "runners", id]) => with_id(id, "runner", |id| {
                 if self.fleet.deregister(id, &self.sched) {
                     Reply::json(&AckReply { ok: true })
@@ -586,6 +609,20 @@ impl ServerState {
 fn parse_body<T: for<'de> serde::Deserialize<'de>>(body: &[u8]) -> Result<T, String> {
     let text = std::str::from_utf8(body).map_err(|e| format!("body is not UTF-8: {e}"))?;
     serde_json::from_str(text).map_err(|e| e.to_string())
+}
+
+/// Parses the `wait_ms` query parameter (capped at [`MAX_WAIT`]) and hands
+/// it to `f`: `None` when absent — answer at once — and `400` when it is
+/// not a whole number of milliseconds.
+fn with_wait(path: &str, f: impl FnOnce(Option<Duration>) -> Reply) -> Reply {
+    let raw = path
+        .split_once('?')
+        .and_then(|(_, query)| query.split('&').find_map(|p| p.strip_prefix("wait_ms=")));
+    let Some(raw) = raw else { return f(None) };
+    match raw.parse::<u64>() {
+        Ok(ms) => f(Some(Duration::from_millis(ms).min(MAX_WAIT))),
+        Err(e) => Reply::error(400, "Bad Request", &format!("bad wait_ms {raw:?}: {e}")),
+    }
 }
 
 /// Parses a numeric path segment, naming `what` in the error.

@@ -1,8 +1,10 @@
 //! Fleet end-to-end tests: a daemon with **zero local workers** and a
 //! fleet of in-process `Runner`s produces reports byte-equal to the
 //! in-process artifact — through fleet sizes, runner death, heartbeat
-//! loss, and injected `lose_lease` faults — and the consistent-hash ring
-//! rebalances by moving only the keys that must move (property-tested).
+//! loss, and injected `lose_lease` faults. The lease protocol has no
+//! latency floor: a lease costs its cell's run time, not a heartbeat
+//! period; a blocked poll wakes the moment work arrives; a waiting runner
+//! is never expired mid-poll; and any poller may take any unit.
 
 use cdcs_bench::exp::{BaseConfig, ExperimentSpec, GridSpec, MixEntry, SpecKind};
 use cdcs_bench::specs;
@@ -10,7 +12,7 @@ use cdcs_serve::http;
 use cdcs_serve::protocol::{
     FleetStatus, JobState, LeaseGrant, LeaseResult, PollReply, RegisterReply, RunnerHello,
 };
-use cdcs_serve::ring::HashRing;
+use cdcs_serve::server::MAX_WAIT;
 use cdcs_serve::{Client, FleetConfig, JobServer, Runner, ServerConfig};
 use cdcs_sim::runner::CellRun;
 use cdcs_sim::Scheme;
@@ -55,7 +57,6 @@ fn fleet_server(lease_ttl: Duration, runner_ttl: Duration, fault: &str) -> JobSe
     config.fleet = FleetConfig {
         lease_ttl,
         runner_ttl,
-        ..FleetConfig::default()
     };
     if !fault.is_empty() {
         config.faults =
@@ -80,12 +81,16 @@ fn register(addr: &str, name: &str) -> RegisterReply {
     serde_json::from_str(&response.body).expect("register reply parses")
 }
 
-fn poll(addr: &str, runner_id: u64) -> Option<LeaseGrant> {
-    let path = format!("/fleet/runners/{runner_id}/poll");
+/// One poll with the raw query `query` (e.g. `?wait_ms=2000`): the lease,
+/// if granted, and how long the daemon held the poll.
+fn poll_waiting(addr: &str, runner_id: u64, query: &str) -> (Option<LeaseGrant>, Duration) {
+    let path = format!("/fleet/runners/{runner_id}/poll{query}");
+    let started = Instant::now();
     let response = http::request(addr, "POST", &path, &[], Some("{}")).expect("poll");
-    assert_eq!(response.status, 200);
+    let held = started.elapsed();
+    assert_eq!(response.status, 200, "poll: {}", response.body);
     let reply: PollReply = serde_json::from_str(&response.body).expect("poll reply parses");
-    reply.lease
+    (reply.lease, held)
 }
 
 fn heartbeat_status(addr: &str, lease_id: u64) -> u16 {
@@ -99,7 +104,7 @@ fn heartbeat_status(addr: &str, lease_id: u64) -> u16 {
 fn poll_until_lease(addr: &str, runner_id: u64) -> LeaseGrant {
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        if let Some(lease) = poll(addr, runner_id) {
+        if let (Some(lease), _) = poll_waiting(addr, runner_id, "") {
             return lease;
         }
         assert!(Instant::now() < deadline, "no lease granted within 10s");
@@ -155,9 +160,9 @@ fn runner_killed_mid_job_recovers_via_requeue() {
     let addr = server.addr().to_string();
     let client = Client::new(addr.clone());
 
-    // The victim registers first (so the ring routes some cells to it),
-    // grabs a lease, and then goes silent forever — never a heartbeat,
-    // never a result: a kill -9 as the daemon sees it.
+    // The victim registers first, grabs a lease, and then goes silent
+    // forever — never a heartbeat, never a result: a kill -9 as the
+    // daemon sees it.
     let victim = register(&addr, "victim");
     let spec = cells_spec(
         "requeue_me",
@@ -201,10 +206,20 @@ fn runner_killed_mid_job_recovers_via_requeue() {
         status.requeued >= 1,
         "the victim's lease must have re-queued: {status:?}"
     );
-    assert!(
-        status.runners.iter().all(|r| !r.name.contains("victim")),
-        "the silent victim must have been expired: {status:?}"
-    );
+    // The job can finish before the victim's runner TTL runs out (its
+    // lease is revoked sooner), so wait for the expiry itself.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let status = fleet_status(&addr);
+        if status.runners.iter().all(|r| !r.name.contains("victim")) {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the silent victim must have been expired: {status:?}"
+        );
+        std::thread::sleep(Duration::from_millis(25));
+    }
 
     for handle in good {
         handle.stop();
@@ -317,99 +332,195 @@ fn lose_lease_fault_requeues_and_report_stays_byte_equal() {
     assert_eq!(report.panicked_threads, 0);
 }
 
-// --- ring rebalance properties ----------------------------------------
+// --- no latency floors -------------------------------------------------
 
-mod ring_props {
-    use super::HashRing;
-    use proptest::prelude::*;
-
-    const VNODES: usize = 16;
-
-    fn build(ids: &[u64], seed: u64) -> HashRing {
-        let mut ring = HashRing::new(VNODES, seed);
-        for &id in ids {
-            ring.add(id);
-        }
-        ring
+#[test]
+fn a_one_cell_job_under_the_default_lease_ttl_finishes_inside_one_heartbeat_period() {
+    // The default 5 s lease TTL means a heartbeat every 1.67 s. The lease
+    // must cost the cell's run time, not a heartbeat period, and the
+    // client must see the job end when it ends, not on its next poll.
+    let server = JobServer::start_with(ServerConfig::new("127.0.0.1:0", 0)).expect("server");
+    let addr = server.addr().to_string();
+    let runner = Runner::new(addr.clone(), "solo").spawn();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while fleet_status(&addr).runners.is_empty() {
+        assert!(Instant::now() < deadline, "runner never registered");
+        std::thread::sleep(Duration::from_millis(5));
     }
+    let spec = cells_spec("one_cell", &["milc"]);
+    let expected = expected_bytes(&spec);
 
-    /// 1..=8 distinct member ids, sorted (the vendored proptest has no
-    /// set strategy — dedupe a vec).
-    fn members() -> impl Strategy<Value = Vec<u64>> {
-        prop::collection::vec(0u64..500, 1..8).prop_map(|mut v| {
-            v.sort_unstable();
-            v.dedup();
-            v
-        })
+    let started = Instant::now();
+    let served = Client::new(addr.clone())
+        .run(
+            &serde_json::to_string(&spec).unwrap(),
+            Duration::from_millis(200),
+        )
+        .expect("one-cell job runs");
+    let elapsed = started.elapsed();
+    assert_eq!(served, expected);
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "a one-cell fleet job took {elapsed:?}; the heartbeat period is 1.67 s"
+    );
+
+    runner.stop();
+    server.shutdown();
+}
+
+#[test]
+fn a_blocked_poll_is_handed_a_job_submitted_while_it_waits() {
+    let server = fleet_server(Duration::from_secs(5), Duration::from_secs(20), "");
+    let addr = server.addr().to_string();
+    let me = register(&addr, "waiter");
+    let spec_json = serde_json::to_string(&cells_spec("late_job", &["milc"])).unwrap();
+    let submit_addr = addr.clone();
+    let submitter = std::thread::spawn(move || {
+        std::thread::sleep(Duration::from_millis(200));
+        Client::new(submit_addr).submit(&spec_json).expect("submit")
+    });
+
+    // Sent before the job exists: the poll must block, then get the cell.
+    let (lease, held) = poll_waiting(&addr, me.runner_id, "?wait_ms=2000");
+    let id = submitter.join().expect("submitter");
+    let lease = lease.expect("the waiting poll is granted the new job's cell");
+    assert_eq!(lease.job_id, id);
+    assert!(
+        held < Duration::from_millis(1500),
+        "the poll slept past the submission ({held:?}) instead of waking on it"
+    );
+    server.shutdown();
+}
+
+#[test]
+fn a_runner_blocking_in_polls_is_never_expired_mid_poll() {
+    // runner_ttl 600 ms: every wait is capped at 300 ms, so a runner that
+    // asks for far longer waits still checks in often enough to live.
+    let server = fleet_server(Duration::from_secs(5), Duration::from_millis(600), "");
+    let addr = server.addr().to_string();
+    let me = register(&addr, "patient");
+    let until = Instant::now() + Duration::from_secs(2);
+    while Instant::now() < until {
+        let (lease, held) = poll_waiting(&addr, me.runner_id, "?wait_ms=5000");
+        assert!(lease.is_none(), "no work was ever submitted");
+        assert!(
+            held >= Duration::from_millis(250),
+            "an empty poll must block for half the runner TTL ({held:?})"
+        );
+        assert!(
+            held < Duration::from_millis(600),
+            "a poll held past the runner TTL ({held:?}) would expire its runner"
+        );
+        let ids: Vec<u64> = fleet_status(&addr).runners.iter().map(|r| r.id).collect();
+        assert_eq!(ids, vec![me.runner_id], "the waiting runner was expired");
     }
+    server.shutdown();
+}
 
-    proptest! {
-        /// Adding a node moves a key only if it moves *to* that node;
-        /// removing it restores the exact previous routing. This is the
-        /// consistent-hashing contract: membership changes touch only
-        /// the joining/leaving node's key range.
-        #[test]
-        fn rebalance_moves_only_the_joining_nodes_range(
-            ids in members(),
-            seed in 0u64..u64::MAX,
-            newcomer in 1000u64..2000,
-        ) {
-            let mut ring = build(&ids, seed);
-            let keys: Vec<u64> = (0..512).collect();
-            let before: Vec<u64> = keys.iter().map(|&k| ring.route(k).unwrap()).collect();
+#[test]
+fn job_status_long_poll_waits_clamps_and_rejects_a_malformed_wait() {
+    // Fleet-only daemon with no runners: the job can never finish, so
+    // every long-poll runs its full (clamped) wait.
+    let server = fleet_server(Duration::from_secs(5), Duration::from_secs(20), "");
+    let addr = server.addr().to_string();
+    let id = Client::new(addr.clone())
+        .submit(&serde_json::to_string(&cells_spec("stuck", &["milc"])).unwrap())
+        .expect("submit");
+    let status_after = |query: &str| {
+        let started = Instant::now();
+        let response =
+            http::request(&addr, "GET", &format!("/jobs/{id}{query}"), &[], None).expect("GET");
+        (response, started.elapsed())
+    };
 
-            ring.add(newcomer);
-            for (&key, &was) in keys.iter().zip(&before) {
-                let now = ring.route(key).unwrap();
-                prop_assert!(
-                    now == was || now == newcomer,
-                    "key {key} moved {was} -> {now}, not to the newcomer {newcomer}"
-                );
-            }
+    let (response, held) = status_after("?wait_ms=300");
+    assert_eq!(response.status, 200, "{}", response.body);
+    let status: cdcs_serve::protocol::JobStatus =
+        serde_json::from_str(&response.body).expect("status parses");
+    assert_eq!(status.state, JobState::Queued);
+    assert!(
+        held >= Duration::from_millis(300) && held < Duration::from_secs(2),
+        "wait_ms=300 held {held:?}"
+    );
 
-            ring.remove(newcomer);
-            for (&key, &was) in keys.iter().zip(&before) {
-                prop_assert_eq!(ring.route(key).unwrap(), was, "key {key} did not move back");
-            }
-        }
+    let (response, held) = status_after("?wait_ms=600000");
+    assert_eq!(response.status, 200, "{}", response.body);
+    assert!(
+        held >= MAX_WAIT && held < MAX_WAIT + Duration::from_secs(2),
+        "an over-long wait must be clamped to {MAX_WAIT:?}, held {held:?}"
+    );
 
-        /// Routing is a pure function of the membership *set* — never of
-        /// insertion order.
-        #[test]
-        fn routing_ignores_insertion_order(
-            ids in members(),
-            seed in 0u64..u64::MAX,
-        ) {
-            let forward: Vec<u64> = ids.clone();
-            let mut reversed = forward.clone();
-            reversed.reverse();
-            let a = build(&forward, seed);
-            let b = build(&reversed, seed);
-            for key in 0..512u64 {
-                prop_assert_eq!(a.route(key), b.route(key), "key {}", key);
-            }
-        }
+    let (response, held) = status_after("?wait_ms=abc");
+    assert_eq!(response.status, 400, "{}", response.body);
+    assert!(response.body.contains("wait_ms"), "{}", response.body);
+    assert!(
+        held < Duration::from_secs(1),
+        "a bad wait_ms is refused at once"
+    );
 
-        /// Removing a node moves only the keys that node owned.
-        #[test]
-        fn removal_moves_only_the_leavers_range(
-            ids in members(),
-            seed in 0u64..u64::MAX,
-        ) {
-            prop_assume!(ids.len() >= 2);
-            let leaver = ids[0];
-            let mut ring = build(&ids, seed);
-            let keys: Vec<u64> = (0..512).collect();
-            let before: Vec<u64> = keys.iter().map(|&k| ring.route(k).unwrap()).collect();
-            ring.remove(leaver);
-            for (&key, &was) in keys.iter().zip(&before) {
-                let now = ring.route(key).unwrap();
-                if was != leaver {
-                    prop_assert_eq!(now, was, "key {} was not the leaver's but moved", key);
-                } else {
-                    prop_assert_ne!(now, leaver, "key {} still routes to the leaver", key);
-                }
-            }
-        }
+    // Without the parameter the route still answers at once.
+    let (response, held) = status_after("");
+    assert_eq!(response.status, 200);
+    assert!(held < Duration::from_secs(1), "plain status held {held:?}");
+    server.shutdown();
+}
+
+#[test]
+fn a_single_poller_receives_every_cell_of_a_three_cell_job() {
+    // Two runners are registered but only one polls: with no affinity
+    // routing, every cell goes to the runner that asks.
+    let server = fleet_server(Duration::from_secs(5), Duration::from_secs(20), "");
+    let addr = server.addr().to_string();
+    let client = Client::new(addr.clone());
+    let poller = register(&addr, "poller");
+    let idle = register(&addr, "idle");
+    let spec = cells_spec("three_cells", &["calculix", "milc", "omnet"]);
+    let id = client
+        .submit(&serde_json::to_string(&spec).unwrap())
+        .expect("submit");
+
+    let leases: Vec<LeaseGrant> = (0..3)
+        .map(|_| poll_until_lease(&addr, poller.runner_id))
+        .collect();
+    let mut cells: Vec<usize> = leases
+        .iter()
+        .map(|l| l.cell_index.expect("grid leases carry a cell index"))
+        .collect();
+    cells.sort_unstable();
+    assert_eq!(cells, vec![0, 1, 2], "the lone poller got every cell");
+
+    // Deliver each result as a runner would: the report is byte-equal.
+    for lease in &leases {
+        let result = cdcs_sim::runner::run_cell(
+            lease.config.as_ref().expect("cell lease config"),
+            lease.cell.as_ref().expect("cell lease cell"),
+        )
+        .expect("cell runs");
+        let body = LeaseResult {
+            ok: Some(result),
+            ..LeaseResult::default()
+        };
+        let response = http::request(
+            &addr,
+            "POST",
+            &format!("/fleet/leases/{}/result", lease.lease_id),
+            &[],
+            Some(&serde_json::to_string(&body).unwrap()),
+        )
+        .expect("result post");
+        assert_eq!(response.status, 200, "{}", response.body);
     }
+    assert_eq!(client.status(id).expect("status").state, JobState::Done);
+    assert_eq!(client.report(id).expect("report"), expected_bytes(&spec));
+    let status = fleet_status(&addr);
+    let completed = |rid: u64| {
+        status
+            .runners
+            .iter()
+            .find(|r| r.id == rid)
+            .map(|r| r.completed)
+    };
+    assert_eq!(completed(poller.runner_id), Some(3));
+    assert_eq!(completed(idle.runner_id), Some(0));
+    server.shutdown();
 }

@@ -296,6 +296,77 @@ fn client_run_resubmits_after_a_daemon_restart() {
 }
 
 #[test]
+fn client_run_paces_its_polls_against_a_daemon_that_ignores_wait_ms() {
+    // A scripted older daemon: it answers every status request at once —
+    // `Running` three times, then `Done` — whatever `wait_ms` asks for.
+    // The client must still leave `poll` between requests, so such a
+    // daemon sees the request rate it always saw.
+    use std::io::{Read, Write};
+    use std::sync::Mutex;
+
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let status_paths = Arc::new(Mutex::new(Vec::new()));
+    let seen = Arc::clone(&status_paths);
+    let script = std::thread::spawn(move || loop {
+        let (mut stream, _) = listener.accept().expect("accept");
+        let mut buf = [0u8; 65536];
+        let n = stream.read(&mut buf).expect("read");
+        let request = String::from_utf8_lossy(&buf[..n]).to_string();
+        let start = request.lines().next().unwrap_or("").to_string();
+        let (status, body, last) = if start.starts_with("POST /jobs") {
+            ("201 Created", "{\"id\":0}".to_string(), false)
+        } else if start.starts_with("GET /jobs/0/report") {
+            ("200 OK", "the-report-bytes".to_string(), true)
+        } else if start.starts_with("GET /jobs/0") {
+            let mut paths = seen.lock().unwrap();
+            paths.push(start.split_whitespace().nth(1).unwrap_or("").to_string());
+            let state = if paths.len() <= 3 { "Running" } else { "Done" };
+            let body = format!(
+                "{{\"id\":0,\"name\":\"x\",\"tenant\":\"default\",\"state\":\"{state}\",\
+                 \"total_cells\":1,\"issued_cells\":1,\"completed_cells\":0,\"error\":null}}"
+            );
+            ("200 OK", body, false)
+        } else {
+            ("404 Not Found", "{\"error\":\"?\"}".to_string(), false)
+        };
+        let head = format!(
+            "HTTP/1.1 {status}\r\nContent-Type: application/json\r\n\
+             Content-Length: {}\r\nConnection: close\r\n\r\n",
+            body.len()
+        );
+        stream.write_all(head.as_bytes()).expect("head");
+        stream.write_all(body.as_bytes()).expect("body");
+        if last {
+            return;
+        }
+    });
+
+    let poll = Duration::from_millis(100);
+    let started = std::time::Instant::now();
+    let report = Client::new(addr)
+        .run("{\"fake\":\"spec\"}", poll)
+        .expect("run completes against the old daemon");
+    let elapsed = started.elapsed();
+    script.join().expect("script thread");
+    assert_eq!(report, "the-report-bytes");
+    let paths = status_paths.lock().unwrap().clone();
+    assert_eq!(
+        paths.len(),
+        4,
+        "three Running replies, then Done: {paths:?}"
+    );
+    assert!(
+        paths.iter().all(|p| p == "/jobs/0?wait_ms=100"),
+        "every status request asks the daemon to wait one poll: {paths:?}"
+    );
+    assert!(
+        elapsed >= 3 * poll,
+        "the client polled a non-waiting daemon without pause ({elapsed:?})"
+    );
+}
+
+#[test]
 fn client_retries_until_the_daemon_comes_up() {
     // Reserve a port, leave it dead, and only start the daemon after the
     // client has already begun calling: connect-refused is transient.

@@ -10,7 +10,7 @@ use cdcs_serve::{Client, JobServer};
 use cdcs_sim::runner::CellRun;
 use cdcs_sim::Scheme;
 use cdcs_workload::MixSpec;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn small(mut spec: ExperimentSpec) -> ExperimentSpec {
     spec.set_base(BaseConfig::SmallTest);
@@ -49,6 +49,31 @@ fn wait_terminal(client: &Client, id: u64) -> JobState {
             terminal => return terminal,
         }
     }
+}
+
+#[test]
+fn client_run_returns_when_the_job_ends_not_on_its_next_poll() {
+    // `Client::run` long-polls: a quick job under a 5 s poll must come
+    // back in well under one poll (the old sleep-then-poll loop slept the
+    // whole 5 s after its first status request).
+    let server = JobServer::start("127.0.0.1:0", 2).expect("server");
+    let client = Client::new(server.addr().to_string());
+    let spec = cells_spec("quick", &["milc"]);
+    let spec_json = serde_json::to_string(&spec).expect("spec serializes");
+    let expected = serde_json::to_string_pretty(&spec.run().expect("in-process run"))
+        .expect("report serializes");
+
+    let started = Instant::now();
+    let served = client
+        .run(&spec_json, Duration::from_secs(5))
+        .expect("job runs to a report");
+    let elapsed = started.elapsed();
+    assert_eq!(served, expected);
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "a quick job under a 5 s poll took {elapsed:?}"
+    );
+    server.shutdown();
 }
 
 #[test]
