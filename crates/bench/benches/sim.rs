@@ -1,22 +1,22 @@
-//! End-to-end simulation-engine benchmarks: the batched interval pipeline,
-//! the bank-sharded parallel pipeline, and the one-access-at-a-time
-//! reference path, on the same small S-NUCA / CDCS cells the experiment
+//! End-to-end simulation-engine benchmarks: the bank-grouped interval
+//! pipeline (in-thread and with 2 workers) and the one-access-at-a-time
+//! reference oracle, on the same small S-NUCA / CDCS cells the experiment
 //! binaries sweep thousands of times — plus a 1-cell case-study run where
-//! intra-cell sharding is the only available parallelism.
+//! intra-cell workers are the only available parallelism.
 //!
 //! The `simulation/*` rows continue the series recorded in the repo-root
 //! trajectory files: they previously lived in the `llc` bench (committed as
 //! `BENCH_llc.json`) and now feed `BENCH_sim.json` via `scripts/bench.sh`.
 //! Keep the construction inside `iter` — the baselines were measured that
-//! way, so the rows stay comparable across PRs. `simulation_sharded/*`
-//! rows run the same small cells through the bank-sharded pipeline (2
-//! workers), and `scripts/check_bench_regression.sh` gates both groups
-//! against `simulation_reference/*`. `simulation_case_study/*` records the
-//! serial-vs-sharded wall clock on one big cell (the intra-cell win the
-//! sharding exists for); it is informational, not gated — absolute medians
-//! are machine-dependent.
+//! way, so the rows stay comparable across commits. `simulation/*` runs
+//! the pipeline in-thread, `simulation_sharded/*` the same small cells on
+//! 2 workers, and `scripts/check_bench_regression.sh` bounds both groups'
+//! ratio to `simulation_reference/*`. `simulation_case_study/*` records
+//! the in-thread-vs-workers wall clock on one big cell (the intra-cell win
+//! the fan-out exists for); it is informational, not gated — absolute
+//! medians are machine-dependent.
 
-use cdcs_sim::{EngineMode, Scheme, SimConfig, Simulation};
+use cdcs_sim::{Scheme, SimConfig, Simulation};
 use cdcs_workload::{EventScript, MixSpec, WorkloadMix};
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -25,11 +25,15 @@ fn run_cell(scheme: Scheme, reference: bool, intra_cell_threads: usize) -> cdcs_
     config.scheme = scheme;
     config.warmup_epochs = 1;
     config.measure_epochs = 1;
-    config.reference_engine = reference;
     config.intra_cell_threads = intra_cell_threads;
     let mix = WorkloadMix::from_spec(&MixSpec::Named(vec!["calculix".into(), "milc".into()]))
         .expect("mix");
-    Simulation::new(config, mix).expect("sim").run()
+    let sim = Simulation::new(config, mix).expect("sim");
+    if reference {
+        sim.with_reference_oracle().run()
+    } else {
+        sim.run()
+    }
 }
 
 /// One §II-B case-study cell (36 tiles, 36 threads), shortened to one
@@ -54,9 +58,9 @@ fn bench_sim(c: &mut Criterion) {
 }
 
 fn bench_sharded(c: &mut Criterion) {
-    // The bank-sharded pipeline on the same small cells (2 workers). Small
-    // cells are near the break-even point for sharding; the row exists so
-    // the sharded/reference ratio is gated like the batched one.
+    // The pipeline on the same small cells with 2 workers. Small cells sit
+    // below the fan-out threshold, so this drains in-thread too; the row
+    // exists so the ratio to the reference is gated like the in-thread one.
     let mut group = c.benchmark_group("simulation_sharded");
     group.sample_size(10);
     for scheme in [Scheme::SNuca, Scheme::cdcs()] {
@@ -66,9 +70,9 @@ fn bench_sharded(c: &mut Criterion) {
 }
 
 fn bench_reference(c: &mut Criterion) {
-    // The definitional per-access engine, kept for the equivalence golden
-    // test: benchmarked so the batched pipeline's advantage stays visible
-    // in the trajectory file.
+    // The definitional per-access oracle, kept for the equivalence golden
+    // test: benchmarked so the pipeline's advantage stays visible in the
+    // trajectory file.
     let mut group = c.benchmark_group("simulation_reference");
     group.sample_size(10);
     for scheme in [Scheme::SNuca, Scheme::cdcs()] {
@@ -77,18 +81,16 @@ fn bench_reference(c: &mut Criterion) {
     group.finish();
 }
 
-/// The event-driven engine on the same small CDCS cell: `steady` is an
-/// empty script (bit-identical results to `simulation/CDCS` — the row
-/// measures the pure dispatch/gating overhead, which
-/// `scripts/check_bench_regression.sh` bounds against the batched row),
-/// `bursty` runs a seeded generated script so event application itself
-/// stays on the trajectory.
+/// Event scripts on the same small CDCS cell: `steady` is an empty script —
+/// the very cell `simulation/CDCS` runs, which
+/// `scripts/check_bench_regression.sh` bounds it against — and `bursty`
+/// runs a seeded generated script so event application itself stays on
+/// the trajectory.
 fn run_event_cell(events: EventScript) -> cdcs_sim::SimResult {
     let mut config = SimConfig::small_test();
     config.scheme = Scheme::cdcs();
     config.warmup_epochs = 1;
     config.measure_epochs = 1;
-    config.engine = EngineMode::Event;
     config.events = events;
     let mix = WorkloadMix::from_spec(&MixSpec::Named(vec!["calculix".into(), "milc".into()]))
         .expect("mix");
@@ -109,9 +111,9 @@ fn bench_event(c: &mut Criterion) {
 }
 
 fn bench_case_study(c: &mut Criterion) {
-    // Where sharding pays: one big cell — the batched engine, the
-    // 1-worker sharded pipeline (pure bank-grouped locality, no spawns:
-    // the best configuration on single-core boxes), and 4 shard workers.
+    // Where workers pay: one big cell — the pipeline with the default
+    // worker count (0) and with 1 worker (both in-thread, no spawns: the
+    // best configuration on single-core boxes), and with 4 workers.
     let mut group = c.benchmark_group("simulation_case_study");
     group.sample_size(10);
     group.bench_function("CDCS-serial", |b| b.iter(|| run_case_study_cell(0)));

@@ -2,7 +2,7 @@
 //!
 //! The paper models 4x128 KB banks per tile with whole-bank allocation; we
 //! emulate whole-bank allocation by raising the allocation granularity from
-//! 64 KB chunks to full 512 KB banks (see DESIGN.md §6): coarse allocations
+//! 64 KB chunks to full 512 KB banks (see `DESIGN.md` §2): coarse allocations
 //! over- and under-provision small VCs and cost weighted speedup.
 
 use cdcs_bench::{arg, fmt, run_and_save, specs};

@@ -1,5 +1,5 @@
 //! Trace replay: runs the committed `specs/traces/calculix_milc` recording
-//! through S-NUCA and CDCS on the batched engine (see
+//! through S-NUCA and CDCS (see
 //! [`cdcs_bench::specs::trace_replay`] for how the fixture is produced and
 //! why the S-NUCA cell reproduces the recording run bit-exactly).
 

@@ -12,7 +12,7 @@ use crate::analysis::{
 use crate::exp::{BaseConfig, ExperimentSpec, GridSpec, MixEntry, SpecKind};
 use cdcs_core::policy::CdcsPlanner;
 use cdcs_sim::runner::CellRun;
-use cdcs_sim::{ConfigPatch, EngineMode, MonitorKind, MoveScheme, Scheme, ThreadSched};
+use cdcs_sim::{ConfigPatch, MonitorKind, MoveScheme, Scheme, ThreadSched};
 use cdcs_workload::{EventScript, MixSpec, TimedEvent, WorkloadEvent};
 
 /// The paper's five schemes in figure order.
@@ -396,7 +396,7 @@ pub fn mega_mesh(mixes: usize, apps: usize) -> ExperimentSpec {
     ExperimentSpec::grid("mega_mesh", grid)
 }
 
-/// `bin/dynamic_mix`: the event-driven engine end to end — a two-app base
+/// `bin/dynamic_mix`: an event script end to end — a two-app base
 /// mix whose script arrives a third app, bursts, idles, and departs,
 /// under S-NUCA and CDCS.
 ///
@@ -447,7 +447,6 @@ pub fn dynamic_mix() -> ExperimentSpec {
     // per-thread results instead.
     grid.weighted_speedup = false;
     grid.patches = vec![ConfigPatch::named("dynamic")
-        .with_engine(EngineMode::Event)
         .with_events(script)
         .with_epoch_cycles(150_000)
         .with_interval_cycles(15_000)
@@ -457,8 +456,7 @@ pub fn dynamic_mix() -> ExperimentSpec {
 }
 
 /// `bin/trace_replay`: trace replay — the committed
-/// `specs/traces/calculix_milc` recording run through S-NUCA and CDCS on
-/// the batched engine.
+/// `specs/traces/calculix_milc` recording run through S-NUCA and CDCS.
 ///
 /// The fixture is recorded by `crates/sim/tests/events.rs`
 /// (`CDCS_WRITE_TRACES=1`) under this exact pinned config with S-NUCA, so

@@ -64,9 +64,9 @@ fn fig17_spec_path_matches_legacy_run_trace_exactly() {
     let mut spec = specs::fig17(apps, pre, post);
     spec.set_base(BaseConfig::SmallTest);
     if let SpecKind::Grid(grid) = &mut spec.kind {
-        // Pin the legacy comparison to the single-core engine; sharded
-        // results are bit-identical anyway (engine equivalence tests), but
-        // the golden diff should not depend on that.
+        // Pin the legacy comparison to an in-thread drain; results are
+        // bit-identical for every worker count anyway (engine equivalence
+        // tests), but the golden diff should not depend on that.
         grid.auto_intra_cell = false;
     }
     let report = spec.run().unwrap();

@@ -1,7 +1,7 @@
 //! A conventional set-associative cache model.
 //!
 //! The simulator's banks use the exact-capacity [`crate::LruPool`]
-//! idealization of Vantage (see `DESIGN.md`). This model exists to validate
+//! idealization of Vantage (see `DESIGN.md` §1). This model exists to validate
 //! that idealization: tests compare pool hit rates against a real
 //! set-associative array of the same size and show they track closely for
 //! the access patterns the workloads produce. It is also reused as the tag

@@ -45,7 +45,7 @@ pub struct AllocOptions {
     /// serializing. With exact curves this changes nothing (utility is equal
     /// either way); with sampled (GMON) curves it prevents measurement noise
     /// from starving one of several identical VCs when capacity runs out
-    /// mid-tie — see `DESIGN.md` §6.
+    /// mid-tie — see `DESIGN.md` §2.
     pub tie_tolerance: f64,
 }
 

@@ -8,7 +8,7 @@
 //! feasible allocation; feasibility comes later in refined placement.
 //!
 //! Two details the paper leaves open are pinned down for stability (see
-//! `DESIGN.md` §6): the largest-first order quantizes sizes to half-bank
+//! `DESIGN.md` §2): the largest-first order quantizes sizes to half-bank
 //! buckets (so monitor noise cannot permute near-equal VCs and reshuffle the
 //! whole chip), and contention ties between candidate tiles break toward the
 //! VC's current accessors rather than by tile id (given equal contention,

@@ -25,7 +25,7 @@ use cdcs_mesh::{Mesh, TileId, Topology};
 /// longer than ours with correspondingly quieter miss curves, so its
 /// deterministic recomputation is naturally stable; at our time scale,
 /// monitor sampling noise would otherwise flip near-tied placements every
-/// epoch and churn the whole LLC (see `DESIGN.md` §6). Pass `None` (or a
+/// epoch and churn the whole LLC (see `DESIGN.md` §2). Pass `None` (or a
 /// zero bias) for the paper's literal behaviour.
 ///
 /// # Panics

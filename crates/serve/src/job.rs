@@ -126,7 +126,10 @@ impl Job {
     ///
     /// # Errors
     ///
-    /// Propagates spec-expansion errors (empty axes, unknown apps, ...).
+    /// Propagates spec-expansion errors (empty axes, unknown apps, ...),
+    /// and refuses any grid spec whose patches set `trace_record`: a served
+    /// spec must not write files on the daemon's or a runner's host.
+    /// Recording stays a library feature.
     pub fn new(
         id: u64,
         spec: ExperimentSpec,
@@ -140,6 +143,13 @@ impl Job {
         };
         let work = match &spec.kind {
             SpecKind::Grid(grid) => {
+                if grid
+                    .patches
+                    .iter()
+                    .any(|p| p.trace_record.as_ref().is_some_and(|d| !d.is_empty()))
+                {
+                    return Err("trace_record is not accepted in served specs".into());
+                }
                 let (config, cells, assembly) = grid.expand()?.into_parts();
                 let config = clamp_intra_cell(&config, pool_workers);
                 let session_options = SessionOptions {

@@ -7,7 +7,8 @@
 //!   tenant (`X-Tenant` header, `"default"` otherwise) is charged one
 //!   token-bucket credit and the active-job queue depth is checked; a
 //!   refusal is `429 Too Many Requests` with `Retry-After`. An optional
-//!   `X-Deadline-Ms` header sets the job's wall-clock deadline.
+//!   `X-Deadline-Ms` header sets the job's wall-clock deadline. A spec
+//!   that fails expansion, or whose patches set `trace_record`, is `400`.
 //! * `GET /jobs` — every job's status, in submission order.
 //! * `GET /jobs/<id>` — one job's live status (per-cell progress).
 //!   With `?wait_ms=N` it long-polls: it replies once the job is terminal

@@ -210,6 +210,39 @@ fn concurrent_jobs_interleave_fairly_on_a_two_worker_pool() {
 }
 
 #[test]
+fn served_specs_may_not_record_traces() {
+    // `trace_record` would make the daemon (or, through a lease, a runner)
+    // write files wherever the spec says: refused before anything queues.
+    let server = JobServer::start("127.0.0.1:0", 1).expect("server");
+    let client = Client::new(server.addr().to_string());
+    let target = std::env::temp_dir().join(format!("cdcs-served-record-{}", std::process::id()));
+    std::fs::remove_dir_all(&target).ok();
+    let mut spec = cells_spec("record", &["milc"]);
+    if let SpecKind::Grid(grid) = &mut spec.kind {
+        grid.patches = vec![cdcs_sim::ConfigPatch::named("rec")
+            .with_trace_record(target.join("deep/dir").to_string_lossy())];
+    }
+    let err = client
+        .submit(&serde_json::to_string(&spec).unwrap())
+        .expect_err("trace_record spec");
+    assert!(err.contains("400"), "unexpected error: {err}");
+    assert!(err.contains("trace_record"), "unexpected error: {err}");
+    let jobs = cdcs_serve::http::request(&client.addr, "GET", "/jobs", &[], None).expect("jobs");
+    assert!(
+        !jobs.body.contains("record"),
+        "a refused job was queued: {}",
+        jobs.body
+    );
+    let report = server.shutdown();
+    assert!(
+        !target.exists(),
+        "the refused spec wrote {}",
+        target.display()
+    );
+    assert_eq!(report.panicked_threads, 0);
+}
+
+#[test]
 fn protocol_errors_are_structured() {
     let server = JobServer::start("127.0.0.1:0", 1).expect("server");
     let client = Client::new(server.addr().to_string());

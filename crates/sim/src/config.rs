@@ -32,25 +32,6 @@ impl Default for MonitorKind {
     }
 }
 
-/// Which outer run loop drives the simulation.
-///
-/// Results from the two loops coincide exactly when the workload is
-/// static: the event engine with an empty [`EventScript`] is bit-identical
-/// to the batched loop (pinned by the `event_engine_golden` tests). The
-/// batched loop stays the steady-state fast path; the event loop adds the
-/// dynamic machinery — mid-run arrivals, departures, bursts, and idle
-/// gaps.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum EngineMode {
-    /// The steady-state loop: fixed thread roster, no workload events.
-    #[default]
-    Batched,
-    /// The event-driven loop: consumes [`SimConfig::events`] at interval
-    /// granularity; threads join and leave mid-run through the ordinary
-    /// reconfiguration path.
-    Event,
-}
-
 /// Full simulator configuration.
 ///
 /// Defaults model the paper's 64-core CMP (Table 2): 8×8 mesh, 512 KB
@@ -141,7 +122,7 @@ pub struct SimConfig {
     /// cost amortized over ~5 epochs. At the paper's 50 Mcycle epochs
     /// movement costs are negligible and every placement applies; at our
     /// compressed epochs they are ~50x larger relative, so noise-driven
-    /// rearrangements must pay for themselves (see `DESIGN.md` §6).
+    /// rearrangements must pay for themselves (see `DESIGN.md` §2).
     /// 0.0 applies every placement like the paper.
     #[serde(default)]
     pub reconfig_benefit_factor: f64,
@@ -151,22 +132,13 @@ pub struct SimConfig {
     /// Base RNG seed for the run.
     #[serde(default)]
     pub seed: u64,
-    /// Run the one-access-at-a-time reference engine instead of the batched,
-    /// table-driven pipeline. Results are bit-identical either way (the
-    /// engine-equivalence golden test holds the two paths against each
-    /// other); the reference path exists for that test and as the
-    /// definitional spec of the access path. Takes precedence over
-    /// `intra_cell_threads`.
-    #[serde(default)]
-    pub reference_engine: bool,
-    /// Worker threads for the bank-sharded intra-cell pipeline; `0`
-    /// (default) runs the single-core batched engine. Results are
-    /// bit-identical for every value — the sharding partitions work by home
-    /// LLC bank and reduces in a fixed index order — so this knob trades
-    /// wall clock only. `1` exercises the full sharded machinery on one
-    /// worker (useful in tests); values above the physical core count just
-    /// oversubscribe. Nested inside [`crate::runner::run_grid`], the outer
-    /// pool clamps it so `outer × inner` stays within the machine.
+    /// Worker threads for the bank-grouped interval pipeline. `0` (default)
+    /// and `1` both drain on the calling thread. Results are bit-identical
+    /// for every value — the pipeline partitions work by home LLC bank and
+    /// reduces in a fixed index order — so this knob trades wall clock
+    /// only; values above the physical core count just oversubscribe.
+    /// Nested inside [`crate::runner::run_grid`], the outer pool clamps it
+    /// so `outer × inner` stays within the machine.
     #[serde(default)]
     pub intra_cell_threads: usize,
     /// Region side (in tiles) for hierarchical CDCS planning; `0` (default)
@@ -185,14 +157,9 @@ pub struct SimConfig {
     /// `hier_region_side > 0`.
     #[serde(default)]
     pub hier_change_threshold: f64,
-    /// Which outer run loop drives the simulation. [`EngineMode::Batched`]
-    /// (default) is the steady-state path; [`EngineMode::Event`] consumes
-    /// [`Self::events`] and supports mid-run thread membership changes.
-    #[serde(default)]
-    pub engine: EngineMode,
-    /// Dynamic workload script for the event engine. An empty script (the
-    /// default) leaves the run steady-state — and bit-identical to the
-    /// batched engine. Non-empty scripts require `engine = Event`.
+    /// Dynamic workload script, consumed by the run loop at interval
+    /// granularity: bursts, idle gaps, and mid-run arrivals and departures.
+    /// An empty script (the default) leaves the run steady-state.
     #[serde(default)]
     pub events: EventScript,
     /// Directory to record per-thread access traces into (record mode
@@ -233,11 +200,9 @@ impl Default for SimConfig {
             reconfig_benefit_factor: 0.05,
             monitor_kind: MonitorKind::Gmon { ways: 64 },
             seed: 1,
-            reference_engine: false,
             intra_cell_threads: 0,
             hier_region_side: 0,
             hier_change_threshold: 0.0,
-            engine: EngineMode::Batched,
             events: EventScript::steady(),
             trace_record: String::new(),
             trace_replay: String::new(),
@@ -260,10 +225,10 @@ impl SimConfig {
     /// A small, fast configuration for tests and doctests: 4×4 chip, short
     /// epochs.
     ///
-    /// `CDCS_INTRA_CELL_THREADS=<n>` forces the bank-sharded pipeline on
-    /// for every test built from this config — results are bit-identical
-    /// either way, so CI runs the whole suite once more with the sharded
-    /// path forced on to prove exactly that.
+    /// `CDCS_INTRA_CELL_THREADS=<n>` gives every test built from this
+    /// config `n` pipeline workers — results are bit-identical for every
+    /// worker count, so CI runs the whole suite once more with two workers
+    /// to prove exactly that.
     pub fn small_test() -> Self {
         SimConfig {
             mesh: Mesh::new(4, 4),
@@ -304,10 +269,9 @@ impl SimConfig {
 
     /// A sensible `intra_cell_threads` for a binary running one big cell
     /// at a time: every available core, capped at 8 (shard fan-outs flatten
-    /// past the bank count over a handful of workers). Never returns 0 —
-    /// even on one core the sharded pipeline's in-thread, bank-grouped
-    /// drain measured ~25% faster than the batched engine's interleave on
-    /// the case-study cell, and results are bit-identical regardless.
+    /// past the bank count over a handful of workers). On one core this is
+    /// 1, which drains in-thread exactly like 0; results are bit-identical
+    /// regardless.
     pub fn auto_intra_cell_threads() -> usize {
         std::thread::available_parallelism().map_or(1, |n| n.get().min(8))
     }
@@ -383,18 +347,13 @@ impl SimConfig {
                     .into(),
             );
         }
-        if self.engine == EngineMode::Batched && !self.events.is_empty() {
-            return Err(
-                "a workload event script requires the event engine (engine = Event)".into(),
-            );
-        }
         if !self.trace_record.is_empty() && !self.trace_replay.is_empty() {
             return Err("trace_record and trace_replay are mutually exclusive".into());
         }
-        if !self.trace_replay.is_empty() && self.engine == EngineMode::Event {
+        if !self.trace_replay.is_empty() && !self.events.is_empty() {
             return Err(
                 "trace replay re-issues a recorded steady-state run; it cannot be combined \
-                 with the event engine"
+                 with a non-empty event script"
                     .into(),
             );
         }
@@ -463,9 +422,6 @@ pub struct ConfigPatch {
     /// Overrides [`SimConfig::hier_change_threshold`].
     #[serde(default)]
     pub hier_change_threshold: Option<f64>,
-    /// Overrides [`SimConfig::engine`].
-    #[serde(default)]
-    pub engine: Option<EngineMode>,
     /// Overrides [`SimConfig::events`].
     #[serde(default)]
     pub events: Option<EventScript>,
@@ -544,9 +500,6 @@ impl ConfigPatch {
         }
         if let Some(v) = self.hier_change_threshold {
             config.hier_change_threshold = v;
-        }
-        if let Some(v) = self.engine {
-            config.engine = v;
         }
         if let Some(v) = &self.events {
             config.events = v.clone();
@@ -633,13 +586,6 @@ impl ConfigPatch {
     #[must_use]
     pub fn with_measure_epochs(mut self, epochs: usize) -> Self {
         self.measure_epochs = Some(epochs);
-        self
-    }
-
-    /// Fluent setter for [`SimConfig::engine`].
-    #[must_use]
-    pub fn with_engine(mut self, engine: EngineMode) -> Self {
-        self.engine = Some(engine);
         self
     }
 
@@ -754,22 +700,33 @@ mod tests {
     #[test]
     fn dynamic_knobs_default_off_and_tolerate_old_json() {
         let c = SimConfig::default();
-        assert_eq!(c.engine, EngineMode::Batched);
         assert!(c.events.is_empty());
         assert!(c.trace_record.is_empty() && c.trace_replay.is_empty());
-        // Configs serialized before the event engine existed (no dynamic
+        // Configs serialized before the event script existed (no dynamic
         // keys) must still deserialize with the knobs off. The fields are
         // the struct's last, so stripping them from the JSON tail
-        // reconstructs a pre-event-engine artifact exactly.
+        // reconstructs a pre-event-script artifact exactly.
         let json = serde_json::to_string(&c).unwrap();
         let legacy = json.replace(
-            ",\"engine\":\"Batched\",\"events\":{\"events\":[]},\"trace_record\":\"\",\
-             \"trace_replay\":\"\"",
+            ",\"events\":{\"events\":[]},\"trace_record\":\"\",\"trace_replay\":\"\"",
             "",
         );
         assert_ne!(legacy, json, "expected to strip the dynamic keys");
         let back: SimConfig = serde_json::from_str(&legacy).unwrap();
         assert_eq!(back, c);
+        // Documents written while the engine was still selectable carry
+        // the retired `engine` / `reference_engine` keys; they parse to the
+        // same config.
+        let retired = json.replace(
+            ",\"intra_cell_threads\":0,",
+            ",\"reference_engine\":false,\"intra_cell_threads\":0,\"engine\":\"Batched\",",
+        );
+        assert_ne!(retired, json, "expected to insert the retired keys");
+        let back: SimConfig = serde_json::from_str(&retired).unwrap();
+        assert_eq!(back, c);
+        let patch: ConfigPatch =
+            serde_json::from_str("{\"label\":\"dyn\",\"engine\":\"Event\"}").unwrap();
+        assert_eq!(patch, ConfigPatch::named("dyn"));
     }
 
     #[test]
@@ -781,16 +738,9 @@ mod tests {
                 event: WorkloadEvent::Departure { process: 0 },
             }],
         };
-        // A script without the event engine is a misconfiguration, not a
-        // silent no-op.
+        // A script alone is all a dynamic run needs.
         let c = SimConfig {
             events: script.clone(),
-            ..SimConfig::default()
-        };
-        assert!(c.validate().unwrap_err().contains("event engine"));
-        let c = SimConfig {
-            engine: EngineMode::Event,
-            events: script,
             ..SimConfig::default()
         };
         assert!(c.validate().is_ok());
@@ -801,11 +751,16 @@ mod tests {
         };
         assert!(c.validate().unwrap_err().contains("mutually exclusive"));
         let c = SimConfig {
-            engine: EngineMode::Event,
+            events: script,
             trace_replay: "out/t/index.json".into(),
             ..SimConfig::default()
         };
         assert!(c.validate().unwrap_err().contains("replay"));
+        let c = SimConfig {
+            trace_replay: "out/t/index.json".into(),
+            ..SimConfig::default()
+        };
+        assert!(c.validate().is_ok());
         let c = SimConfig {
             trace_record: "out/t".into(),
             ..SimConfig::default()
@@ -816,7 +771,6 @@ mod tests {
     #[test]
     fn patch_applies_dynamic_overrides() {
         let patch = ConfigPatch::named("dynamic")
-            .with_engine(EngineMode::Event)
             .with_warmup_epochs(1)
             .with_measure_epochs(2)
             .with_events(EventScript::generate(3, 100_000, 2))
@@ -824,7 +778,6 @@ mod tests {
         assert!(!patch.is_identity());
         let mut c = SimConfig::default();
         patch.apply(&mut c);
-        assert_eq!(c.engine, EngineMode::Event);
         assert_eq!(c.warmup_epochs, 1);
         assert_eq!(c.measure_epochs, 2);
         assert_eq!(c.events, EventScript::generate(3, 100_000, 2));

@@ -13,7 +13,7 @@
 //! GMONs, build a [`PlacementProblem`], run their planner, and apply the new
 //! placement through the §IV-H movement machinery.
 
-use crate::config::{EngineMode, SimConfig};
+use crate::config::SimConfig;
 use crate::energy::{EnergyBreakdown, EnergyModel};
 use crate::llc::{lookup_result, Llc, LookupResult, Route};
 use crate::memory::MemoryModel;
@@ -53,8 +53,8 @@ struct ThreadState {
     carry: f64,
     /// Whether the thread currently runs. Threads of scripted-arrival
     /// processes start inactive; a departure clears it for good. Inactive
-    /// threads retire nothing and issue nothing — always `true` outside
-    /// the event engine.
+    /// threads retire nothing and issue nothing — always `true` without an
+    /// event script.
     active: bool,
     /// First cycle the thread may issue again after an
     /// [`WorkloadEvent::IdleGap`] (0 = not idle). Cycles still pass for an
@@ -98,7 +98,7 @@ pub struct SimResult {
 impl SimResult {
     /// Per-process performance: the sum of thread IPCs of each process.
     /// (For multi-threaded apps this aggregate progress rate stands in for
-    /// the paper's heartbeat-based ROI progress; see `DESIGN.md`.)
+    /// the paper's heartbeat-based ROI progress; see `DESIGN.md` §1.)
     pub fn process_perf(&self) -> Vec<f64> {
         let n = self
             .threads
@@ -141,7 +141,7 @@ impl SimResult {
     }
 }
 
-/// Reusable per-interval access buffers for the batched engine: every
+/// Reusable per-interval access buffers of the interval pipeline: every
 /// thread's interval accesses are generated up front into these flat
 /// vectors (grouped by thread, `offsets` delimiting each thread's run),
 /// then drained in the same round-robin order the one-at-a-time reference
@@ -186,16 +186,16 @@ fn unpack_access(acc: u64) -> (u32, StreamTarget, Line) {
     ((line >> 40) as u32, target, Line(line))
 }
 
-/// Interval size (in accesses) below which the sharded pipeline drains on
-/// one in-thread worker instead of spawning the fan-out: a scoped worker
-/// costs tens of microseconds to start, so a small interval is processed
-/// faster than it can be fanned out. Wall-clock policy only — sharded
-/// results are bit-identical for every worker count. Public so the
-/// equivalence tests can assert their intervals are big enough to force
-/// genuine multi-worker fan-outs.
+/// Interval size (in accesses) below which the pipeline drains on one
+/// in-thread worker instead of spawning the fan-out: a scoped worker costs
+/// tens of microseconds to start, so a small interval is processed faster
+/// than it can be fanned out. Wall-clock policy only — results are
+/// bit-identical for every worker count. Public so the equivalence tests
+/// can assert their intervals are big enough to force genuine multi-worker
+/// fan-outs.
 pub const SHARD_SEQ_THRESHOLD: usize = 8192;
 
-/// Packed [`Route`] word for the sharded pipeline: bits `0..15` the home
+/// Packed [`Route`] word for the interval pipeline: bits `0..15` the home
 /// bank, bit 15 the bypass flag, bits `16..32` the shadow-window old bank
 /// plus one (0 = none). Bank ids are tile ids, far below 2^15.
 const ROUTE_BYPASS: u32 = 1 << 15;
@@ -222,8 +222,8 @@ fn unpack_route(w: u32) -> Route {
     }
 }
 
-/// Reusable buffers of the bank-sharded interval pipeline
-/// (`SimConfig::intra_cell_threads > 0`). One interval runs in four phases:
+/// Reusable buffers of the bank-grouped interval pipeline, the engine every
+/// cell runs. One interval runs in four phases:
 ///
 /// 1. **Generate + route (parallel over threads).** Each thread's accesses
 ///    are drawn into its disjoint window of the flat batch buffer (budgets
@@ -231,7 +231,7 @@ fn unpack_route(w: u32) -> Route {
 ///    replayed, and every access routed to its home bank through the pure
 ///    [`Llc::route`] — per-thread streams are independent RNGs and a
 ///    private monitor belongs to exactly one thread, so this fan-out
-///    reproduces the serial draws byte for byte.
+///    reproduces the oracle's draws byte for byte.
 /// 2. **Plan (sequential).** The round-robin drain order is materialized
 ///    into `order`, each non-bypass access is appended to its home bank's
 ///    `lists` entry (so every bank sees its accesses in drain order), and
@@ -247,8 +247,9 @@ fn unpack_route(w: u32) -> Route {
 ///    once more; each access pops the next outcome byte off its bank's
 ///    queue and flows through [`Simulation::apply_access_result`] — the
 ///    same accumulation code, in the same order, with the same values as
-///    the single-core batched engine. Every f64 addition happens here, so
-///    results are bit-identical by construction.
+///    the per-access reference oracle ([`Simulation::issue_access`]). Every
+///    f64 addition happens here, so results are bit-identical for every
+///    worker count by construction.
 #[derive(Debug, Default)]
 struct ShardScratch {
     /// Drain order: `(thread << 40) | acc-index` per access.
@@ -263,35 +264,16 @@ struct ShardScratch {
     cursors: Vec<usize>,
 }
 
-/// Receiver for [`drain_round_robin`]: gets every access of an interval,
-/// identified by `(thread, acc index)`, in the exact order the reference
-/// engine would issue it.
-trait DrainSink {
-    /// One access inside a multi-thread segment.
-    fn each(&mut self, ti: usize, c: usize);
-
-    /// The final single-thread run `lo..hi` — an optimization seam (the
-    /// batched engine tries its closed-form bypass fast path here); the
-    /// default is the plain per-access walk.
-    fn tail(&mut self, ti: usize, lo: usize, hi: usize) {
-        for c in lo..hi {
-            self.each(ti, c);
-        }
-    }
-}
-
-/// The segmented round-robin drain-order walker: between two thread
-/// exhaustions the set of active threads is fixed, so whole rounds run
-/// over the active list with no per-access budget checks, and the last
-/// surviving thread's tail is handed over as one run. This is the *only*
-/// implementation of the interval drain order — the batched engine
-/// processes accesses as it walks, the sharded pipeline materializes the
-/// walk into its plan — so the two engines cannot diverge on ordering.
+/// The round-robin drain-order walker: calls `each(thread, acc index)` for
+/// every access of an interval in the exact order the reference oracle
+/// issues them. Between two thread exhaustions the set of active threads is
+/// fixed, so whole rounds run over the active list with no per-access
+/// budget checks.
 fn drain_round_robin(
     offsets: &[usize],
     cursor: &mut Vec<usize>,
     active: &mut Vec<u32>,
-    sink: &mut impl DrainSink,
+    mut each: impl FnMut(usize, usize),
 ) {
     let num_threads = offsets.len() - 1;
     cursor.clear();
@@ -308,77 +290,15 @@ fn drain_round_robin(
                 min_rem = min_rem.min(rem);
             }
         }
-        match active.len() {
-            0 => break,
-            1 => {
-                let ti = active[0] as usize;
-                let (lo, hi) = (cursor[ti], offsets[ti + 1]);
-                sink.tail(ti, lo, hi);
-                cursor[ti] = hi;
-                break;
-            }
-            _ => {
-                for _ in 0..min_rem {
-                    for &ti in active.iter() {
-                        let ti = ti as usize;
-                        let c = cursor[ti];
-                        cursor[ti] = c + 1;
-                        sink.each(ti, c);
-                    }
-                }
-            }
+        if active.is_empty() {
+            break;
         }
-    }
-}
-
-/// The batched engine's drain: process each access immediately, with the
-/// single-thread tail routed through the bypass-run fast path.
-struct BatchedDrainSink<'a> {
-    sim: &'a mut Simulation,
-    acc: &'a [u64],
-    hot: &'a HotState,
-}
-
-impl DrainSink for BatchedDrainSink<'_> {
-    fn each(&mut self, ti: usize, c: usize) {
-        let (vc, target, line) = unpack_access(self.acc[c]);
-        self.sim.process_access(ti, vc, target, line, self.hot);
-    }
-
-    fn tail(&mut self, ti: usize, lo: usize, hi: usize) {
-        if !self.sim.process_bypass_run(ti, &self.acc[lo..hi], self.hot) {
-            for c in lo..hi {
-                self.each(ti, c);
-            }
-        }
-    }
-}
-
-/// The sharded pipeline's phase-2 planner: materialize the drain order,
-/// partition non-bypass accesses by home bank, and replay shared/global
-/// monitor records (monitor state is disjoint from LLC state, and
-/// per-monitor record order — all that matters — is preserved).
-struct PlanSink<'a> {
-    acc: &'a [u64],
-    routes: &'a [u32],
-    order: &'a mut Vec<u64>,
-    lists: &'a mut [Vec<u32>],
-    monitors: &'a mut [AnyMonitor],
-    monitors_on: bool,
-}
-
-impl DrainSink for PlanSink<'_> {
-    fn each(&mut self, ti: usize, c: usize) {
-        self.order.push(((ti as u64) << 40) | c as u64);
-        let r = self.routes[c];
-        if r & ROUTE_BYPASS == 0 {
-            self.lists[(r & ROUTE_BANK_MASK) as usize].push(c as u32);
-        }
-        if self.monitors_on {
-            let a = self.acc[c];
-            if a & (ACC_SHARED | ACC_GLOBAL) != 0 {
-                let line = a & ACC_LINE_MASK;
-                self.monitors[(line >> 40) as usize].record(Line(line));
+        for _ in 0..min_rem {
+            for &ti in active.iter() {
+                let ti = ti as usize;
+                let c = cursor[ti];
+                cursor[ti] = c + 1;
+                each(ti, c);
             }
         }
     }
@@ -400,8 +320,8 @@ impl GenTask<'_> {
     fn run(&mut self, llc: &Llc, mesh: &cdcs_mesh::Mesh) {
         let t = &mut *self.thread;
         if t.source.is_private_only() {
-            // Same bulk draw (and same epoch accounting) as the serial
-            // generation loop.
+            // Bulk draw: the same offsets (and epoch counts) as one
+            // `next_access` per slot.
             let base = (t.vc_private as u64) << 40;
             t.source.fill_private_offsets_slice(self.acc);
             for a in self.acc.iter_mut() {
@@ -507,9 +427,6 @@ impl AnyMonitor {
 /// Per-interval constants of the access path, read once from the config
 /// instead of once per access.
 struct HotState {
-    /// Monitors exist and their samples can still be read (see
-    /// `Simulation::monitors_live`).
-    monitors_live: bool,
     bank_lat: f64,
     line_flits: u64,
     ctrl_flits: u64,
@@ -518,7 +435,7 @@ struct HotState {
     measuring: bool,
 }
 
-/// The next interleaved memory-controller port (batched path): the same
+/// The next interleaved memory-controller port (pipeline path): the same
 /// `access № mod port-count` sequence as `mc.port_for(mc_counter)`,
 /// maintained as a wrapping cursor instead of a per-access division.
 #[inline]
@@ -542,13 +459,13 @@ pub struct Simulation {
     monitors: Vec<AnyMonitor>,
     mc: MemCtrlPlacement,
     mc_counter: u64,
-    /// Batched-path port cursor: equals `mc_counter % ports` without the
-    /// per-access division (the reference path keeps the counter form).
+    /// Pipeline port cursor: equals `mc_counter % ports` without the
+    /// per-access division (the reference oracle keeps the counter form).
     mc_port: u64,
     avg_mc_round_trip: f64,
     /// Precomputed `tile × tile` hop / round-trip tables (built once here,
-    /// next to the memory-controller mean-hops table): the batched access
-    /// path replaces `mesh.hops` + `noc.round_trip_latency` with two loads.
+    /// next to the memory-controller mean-hops table): the pipeline's reduce
+    /// replaces `mesh.hops` + `noc.round_trip_latency` with two loads.
     tile_tables: DistanceTables,
     /// Precomputed `tile × mc-port` hop / round-trip tables for the miss and
     /// writeback paths.
@@ -563,9 +480,9 @@ pub struct Simulation {
     /// and swaps it with `last_placement`, so steady-state epochs emit
     /// placements without allocating the `vc × bank` matrix.
     plan_buf: Placement,
-    /// Reusable batched-interval buffers.
+    /// Reusable per-interval access buffers.
     batch: AccessBatch,
-    /// Reusable bank-sharded pipeline buffers (`intra_cell_threads > 0`).
+    /// Reusable pipeline buffers.
     shard: ShardScratch,
     /// Worker pool for the intra-cell fan-outs, pinned to
     /// `SimConfig::intra_cell_threads` workers so a simulation nested in
@@ -575,9 +492,10 @@ pub struct Simulation {
     /// same sharded pipeline, drained in-thread with zero spawns (worker
     /// count never changes results, only wall clock).
     shard_seq_pool: rayon::ThreadPool,
-    /// `CDCS_DEBUG_RECONFIG` read once at construction (the lookup is a
-    /// syscall; it has no place inside the reconfiguration path).
-    debug_reconfig: bool,
+    /// Drain every interval through the per-access reference oracle
+    /// ([`Self::issue_access`]) instead of the pipeline; set only by
+    /// [`Self::with_reference_oracle`].
+    reference_oracle: bool,
     /// Whether monitor samples can still influence a decision. Monitor
     /// state is read in exactly one place — `build_problem` at a
     /// reconfiguration — so once the last reconfiguration of a run has
@@ -593,7 +511,7 @@ pub struct Simulation {
     pending_pause: u64,
     last_placement: Option<Placement>,
     /// Processes in the base mix; roster slots `>= base_processes` belong
-    /// to scripted arrivals and start inactive (event engine only).
+    /// to scripted arrivals and start inactive.
     base_processes: usize,
     /// The full roster mix, kept only when `trace_record` is set so
     /// [`Self::finish`] can write it into the trace index.
@@ -620,21 +538,19 @@ impl Simulation {
             Some(src) => src.mix().clone(),
             None => mix,
         };
-        // Event engine: the roster is fixed at construction — scripted
-        // arrivals occupy process slots after the base mix (in time order,
-        // the order the engine activates them), so cores, VCs, and
-        // monitors exist from cycle 0 and no mid-run re-layout is needed.
+        // The roster is fixed at construction — scripted arrivals occupy
+        // process slots after the base mix (in time order, the order the
+        // run loop activates them), so cores, VCs, and monitors exist from
+        // cycle 0 and no mid-run re-layout is needed.
         let base_processes = mix.processes().len();
-        if config.engine == EngineMode::Event {
-            for e in config.events.sorted() {
-                if let WorkloadEvent::Arrival { app } = &e.event {
-                    let profile = cdcs_workload::spec::by_name(app)
-                        .ok_or_else(|| format!("unknown arrival app {app}"))?;
-                    mix.push_process(profile.clone());
-                }
+        for e in config.events.sorted() {
+            if let WorkloadEvent::Arrival { app } = &e.event {
+                let profile = cdcs_workload::spec::by_name(app)
+                    .ok_or_else(|| format!("unknown arrival app {app}"))?;
+                mix.push_process(profile.clone());
             }
-            config.events.validate(mix.processes().len())?;
         }
+        config.events.validate(mix.processes().len())?;
         let total_threads = mix.total_threads();
         if total_threads > config.mesh.num_tiles() {
             return Err(format!(
@@ -773,6 +689,10 @@ impl Simulation {
         let record_mix = if config.trace_record.is_empty() {
             None
         } else {
+            // An unwritable record directory is a construction error, not
+            // a panic in `finish` after the whole run.
+            std::fs::create_dir_all(&config.trace_record)
+                .map_err(|e| format!("trace_record {}: {e}", config.trace_record))?;
             Some(mix.clone())
         };
         let memory = MemoryModel::new(config.mem_zero_load, config.total_mem_bandwidth());
@@ -783,12 +703,13 @@ impl Simulation {
             config.mem_zero_load + avg_mc_round_trip,
             f64::from(config.bank_latency),
         );
-        // Hop / round-trip tables for the batched access path, built once
+        // Hop / round-trip tables for the pipeline's reduce, built once
         // alongside the mean-hops table above.
         let tile_tables = DistanceTables::new(&config.mesh, config.noc);
         let mc_tables = PortDistanceTables::new(&config.mesh, config.noc, mc.ports());
         // Pinned pools (just scoped worker counts in the vendored rayon)
-        // for the sharded pipeline's fan-outs; unused when the knob is 0.
+        // for the pipeline's fan-outs; at 0 or 1 workers both drain
+        // in-thread.
         let shard_pool = rayon::ThreadPoolBuilder::new()
             .num_threads(config.intra_cell_threads.max(1))
             .build()
@@ -819,7 +740,7 @@ impl Simulation {
             shard: ShardScratch::default(),
             shard_pool,
             shard_seq_pool,
-            debug_reconfig: std::env::var("CDCS_DEBUG_RECONFIG").is_ok(),
+            reference_oracle: false,
             monitors_live: true,
             cycle: 0,
             traffic: cdcs_mesh::TrafficStats::new(),
@@ -835,6 +756,18 @@ impl Simulation {
             sim.bootstrap_placement();
         }
         Ok(sim)
+    }
+
+    /// Drains every interval through the one-access-at-a-time reference
+    /// oracle instead of the interval pipeline. Results are bit-identical;
+    /// the oracle is the definitional spec of the access path, kept for the
+    /// engine-equivalence tests and the `simulation_reference/*` bench
+    /// rows. No config can select it.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn with_reference_oracle(mut self) -> Self {
+        self.reference_oracle = true;
+        self
     }
 
     /// System parameters as seen by the planners. Only the memory latency
@@ -999,15 +932,6 @@ impl Simulation {
                 return;
             }
         }
-        if self.debug_reconfig {
-            eprintln!(
-                "reconfig@{}: cores[0..4] {:?} vc0 {:?} vc1 {:?}",
-                self.cycle,
-                &placement.thread_cores[..4.min(placement.thread_cores.len())],
-                placement.vc_banks(0),
-                placement.vc_banks(1),
-            );
-        }
         self.cores.clear();
         self.cores.extend_from_slice(&placement.thread_cores);
         let pause = self.llc.reconfigure(
@@ -1037,10 +961,10 @@ impl Simulation {
 
     /// Issues one access for thread `ti`; returns its latency in cycles.
     ///
-    /// This is the *reference* access path (`SimConfig::reference_engine`):
+    /// This is the *reference* access path ([`Self::with_reference_oracle`]):
     /// it draws the access from the stream and resolves every distance
-    /// through `mesh.hops` / `noc.round_trip_latency` inline. The batched
-    /// path ([`Self::process_access`]) must produce bit-identical results —
+    /// through `mesh.hops` / `noc.round_trip_latency` inline. The interval
+    /// pipeline must produce bit-identical results —
     /// `crates/sim/tests/engine_equivalence.rs` holds the two against each
     /// other.
     fn issue_access(&mut self, ti: usize) -> f64 {
@@ -1162,100 +1086,12 @@ impl Simulation {
         latency
     }
 
-    /// Fast path for a straight run of one thread's accesses that all hit a
-    /// zero-allocation (bypassing) private VC — the back half of every
-    /// interval once only a streaming thread has budget left. Processes the
-    /// whole run with the per-access constants hoisted (descriptor check,
-    /// memory-latency estimate, distance-table rows) and the order-invariant
-    /// integer counters accumulated in batch; every floating-point
-    /// accumulation happens access by access in the exact order
-    /// [`Self::process_access`] performs it, so results stay bit-identical.
-    ///
-    /// Returns false (having done nothing) if the run does not qualify.
-    fn process_bypass_run(&mut self, ti: usize, run: &[u64], hot: &HotState) -> bool {
-        if run.is_empty() {
-            return false;
-        }
-        // Qualify: every access targets the thread's private VC…
-        if !run.iter().all(|&acc| acc & (ACC_SHARED | ACC_GLOBAL) == 0) {
-            return false;
-        }
-        let vc = self.threads[ti].vc_private;
-        // …and that VC currently bypasses the LLC.
-        if !self.llc.vc_bypasses(vc) {
-            return false;
-        }
-
-        // No monitor records here: these are thread-private accesses, which
-        // the generation-side pre-pass already recorded.
-
-        let core = self.cores[ti];
-        let latency_estimate = self.memory.current_latency();
-        let ports = hot.ports as usize;
-        let k = run.len() as u64;
-        let mut hop_sum = 0u64;
-        let mut iv_latency = self.threads[ti].iv_latency;
-        let m = &mut self.threads[ti].metrics;
-        for _ in 0..run.len() {
-            let port = next_port(&mut self.mc_port, hot.ports);
-            debug_assert!(port < ports);
-            // Same per-access f64 sequence as `process_access`'s bypass arm:
-            // mem = memory latency + round trip; mem_cycles += mem;
-            // iv_latency += mem.
-            let mem = latency_estimate + self.mc_tables.round_trip(core, port);
-            m.mem_cycles += mem;
-            iv_latency += mem;
-            hop_sum += u64::from(self.mc_tables.hops(core, port));
-        }
-        self.threads[ti].iv_latency = iv_latency;
-        // Order-invariant integer bookkeeping, batched: exactly what k
-        // per-access updates would produce (u64 addition is associative).
-        let m = &mut self.threads[ti].metrics;
-        m.accesses += k;
-        m.misses += k;
-        self.threads[ti].iv_accesses += k;
-        self.memory.count_accesses(k);
-        self.traffic.record_bulk(
-            TrafficClass::LlcToMem,
-            (hot.ctrl_flits + hot.line_flits) * hop_sum,
-            2 * k,
-        );
-        if hot.measuring {
-            self.system.dram_accesses += k;
-        }
-        true
-    }
-
-    /// Processes one pre-generated access on the batched path. Mirrors
-    /// [`Self::issue_access`] step for step, but the stream draw and VC
-    /// resolution already happened at batch-generation time and every
-    /// distance is a table load ([`DistanceTables`] / [`PortDistanceTables`]
-    /// hold exactly the values the reference path computes).
-    fn process_access(
-        &mut self,
-        ti: usize,
-        vc: u32,
-        target: StreamTarget,
-        line: Line,
-        hot: &HotState,
-    ) {
-        // Thread-private records already happened in the generation-side
-        // pre-pass; only the cross-thread (shared/global) VCs record here.
-        if hot.monitors_live && target != StreamTarget::ThreadPrivate {
-            self.monitors[vc as usize].record(line);
-        }
-
-        let core = self.cores[ti];
-        let result = self.llc.access(vc, target, core, &self.config.mesh, line);
-        self.apply_access_result(ti, result, hot);
-    }
-
     /// Applies one resolved LLC lookup to every accumulator: latency,
     /// per-thread metrics, traffic, memory-controller interleave, system
-    /// counters. This is the *only* place the batched engine adds f64s per
-    /// access, and the sharded pipeline's reduction calls it in the exact
-    /// drain order the serial path does — which is what makes the sharded
-    /// results bit-identical regardless of worker count.
+    /// counters. This is the *only* place the pipeline adds f64s per
+    /// access, and its reduction calls it in the exact drain order the
+    /// reference oracle issues accesses — which is what makes the results
+    /// bit-identical regardless of worker count.
     fn apply_access_result(&mut self, ti: usize, result: LookupResult, hot: &HotState) {
         let core = self.cores[ti];
         let mut latency = 0.0;
@@ -1344,122 +1180,11 @@ impl Simulation {
         self.threads[ti].iv_latency += latency;
     }
 
-    /// Batched interval core: generate every thread's accesses up front
-    /// (stream draws, VC resolution, epoch accounting, line construction)
-    /// into the reusable [`AccessBatch`], then drain them in round-robin
-    /// order through the table-driven [`Self::process_access`].
-    ///
-    /// Per-thread streams are independent RNGs and the shared structures
-    /// (LLC, monitors, memory model, controller interleave) are only touched
-    /// in the drain, so splitting generation from processing preserves the
-    /// reference path's access-for-access behaviour exactly.
-    fn run_interval_batched(&mut self, batch: &mut AccessBatch) {
-        let num_threads = self.threads.len();
-        let global_vc = (self.vc_kinds.len() - 1) as u32;
-        batch.acc.clear();
-        batch.offsets.clear();
-        batch.offsets.push(0);
-        for (ti, t) in self.threads.iter_mut().enumerate() {
-            let budget = batch.budgets[ti] as usize;
-            if t.source.is_private_only() {
-                // Single-class stream: bulk-draw the offsets (pattern
-                // dispatch hoisted) and pack them against the constant
-                // private-VC tag. Identical draws, identical epoch counts
-                // (`budget` unit additions of an exact integer).
-                let base = (t.vc_private as u64) << 40;
-                let start = batch.acc.len();
-                t.source.fill_private_offsets(budget, &mut batch.acc);
-                for acc in &mut batch.acc[start..] {
-                    // Disjoint address spaces per VC.
-                    *acc |= base;
-                }
-                t.ep_private += budget as f64;
-            } else {
-                for _ in 0..budget {
-                    let (target, offset) = t.source.next_access();
-                    let (vc, class_bits) = match target {
-                        StreamTarget::ThreadPrivate => {
-                            t.ep_private += 1.0;
-                            (t.vc_private, 0)
-                        }
-                        StreamTarget::ProcessShared => {
-                            t.ep_shared += 1.0;
-                            (
-                                t.vc_shared.expect("shared access without shared VC"),
-                                ACC_SHARED,
-                            )
-                        }
-                        StreamTarget::Global => (global_vc, ACC_GLOBAL),
-                    };
-                    // Disjoint address spaces per VC.
-                    batch.acc.push(class_bits | ((vc as u64) << 40) | offset);
-                }
-            }
-            batch.offsets.push(batch.acc.len());
-        }
-
-        // Monitor pre-pass: a thread-private VC only ever receives accesses
-        // from its one owning thread, so its round-robin record subsequence
-        // *is* the thread's own slice, in order — record those in one tight
-        // loop per thread while the monitor's tag array stays hot. Monitor
-        // and LLC state are disjoint, so moving the records ahead of the
-        // latency drain changes nothing. Shared/global VCs interleave
-        // across threads and keep their records in the drain below.
-        if !self.monitors.is_empty() && self.monitors_live {
-            for ti in 0..num_threads {
-                let monitor = &mut self.monitors[self.threads[ti].vc_private as usize];
-                for &acc in &batch.acc[batch.offsets[ti]..batch.offsets[ti + 1]] {
-                    if acc & (ACC_SHARED | ACC_GLOBAL) == 0 {
-                        monitor.record(Line(acc & ACC_LINE_MASK));
-                    }
-                }
-            }
-        }
-
-        let hot = self.interval_hot_state();
-
-        // Round-robin drain, same interleave as the reference path: the
-        // batched engine processes each access as the shared walker
-        // ([`drain_round_robin`]) emits it, with the single-thread tail
-        // routed through the closed-form bypass fast path first.
-        {
-            let AccessBatch {
-                acc,
-                offsets,
-                cursor,
-                active,
-                ..
-            } = &mut *batch;
-            let mut sink = BatchedDrainSink {
-                sim: self,
-                acc,
-                hot: &hot,
-            };
-            drain_round_robin(offsets, cursor, active, &mut sink);
-        }
-    }
-
-    /// The per-interval hot constants, read once per interval. The single
-    /// construction site for [`HotState`] — the batched drain and the
-    /// sharded reduction both call this, so their per-access constants
-    /// cannot drift apart.
-    fn interval_hot_state(&self) -> HotState {
-        HotState {
-            monitors_live: !self.monitors.is_empty() && self.monitors_live,
-            bank_lat: f64::from(self.config.bank_latency),
-            line_flits: self.config.noc.data_flits(64),
-            ctrl_flits: self.config.noc.control_flits(),
-            ports: self.mc_tables.num_ports() as u64,
-            measuring: self.measuring,
-        }
-    }
-
-    /// Bank-sharded interval core (see [`ShardScratch`] for the four-phase
-    /// pipeline). Must produce results bit-identical to
-    /// [`Self::run_interval_batched`] for every worker count —
-    /// `crates/sim/tests/engine_equivalence.rs` holds them together across
-    /// schemes, mixes, entry points and 1/2/4 shard threads.
-    fn run_interval_sharded(&mut self, batch: &mut AccessBatch, sh: &mut ShardScratch) {
+    /// The interval pipeline (see [`ShardScratch`] for its four phases).
+    /// Must produce results bit-identical to the reference oracle for every
+    /// worker count — `crates/sim/tests/engine_equivalence.rs` holds them
+    /// together across schemes, mixes, entry points and 1/2/4 workers.
+    fn run_pipeline(&mut self, batch: &mut AccessBatch, sh: &mut ShardScratch) {
         let num_threads = self.threads.len();
         let global_vc = (self.vc_kinds.len() - 1) as u32;
         let num_banks = self.config.num_banks();
@@ -1482,9 +1207,8 @@ impl Simulation {
 
         // Below the threshold an interval cannot amortize thread spawns
         // (the vendored rayon scopes fresh workers per fan-out, ~tens of
-        // µs each), so it drains the very same pipeline on one in-thread
-        // worker. Pure wall-clock policy — worker count never changes
-        // results.
+        // µs each), so it drains on one in-thread worker. Pure wall-clock
+        // policy — worker count never changes results.
         let pool = if total >= SHARD_SEQ_THRESHOLD {
             &self.shard_pool
         } else {
@@ -1547,15 +1271,27 @@ impl Simulation {
                 active,
                 ..
             } = &mut *batch;
-            let mut sink = PlanSink {
-                acc,
-                routes: &sh.routes,
-                order: &mut sh.order,
-                lists: &mut sh.lists,
-                monitors: &mut self.monitors,
-                monitors_on,
-            };
-            drain_round_robin(offsets, cursor, active, &mut sink);
+            let ShardScratch {
+                order,
+                routes,
+                lists,
+                ..
+            } = &mut *sh;
+            let monitors = &mut self.monitors;
+            drain_round_robin(offsets, cursor, active, |ti, c| {
+                order.push(((ti as u64) << 40) | c as u64);
+                let r = routes[c];
+                if r & ROUTE_BYPASS == 0 {
+                    lists[(r & ROUTE_BANK_MASK) as usize].push(c as u32);
+                }
+                if monitors_on {
+                    let a = acc[c];
+                    if a & (ACC_SHARED | ACC_GLOBAL) != 0 {
+                        let line = a & ACC_LINE_MASK;
+                        monitors[(line >> 40) as usize].record(Line(line));
+                    }
+                }
+            });
         }
 
         // Phase 3 (parallel over banks): the stateful lookups. Work is
@@ -1587,7 +1323,13 @@ impl Simulation {
 
         // Phase 4 (sequential reduce): replay the drain order through the
         // shared accumulation code, consuming each bank's outcome queue.
-        let hot = self.interval_hot_state();
+        let hot = HotState {
+            bank_lat: f64::from(self.config.bank_latency),
+            line_flits: self.config.noc.data_flits(64),
+            ctrl_flits: self.config.noc.control_flits(),
+            ports: self.mc_tables.num_ports() as u64,
+            measuring: self.measuring,
+        };
         sh.cursors.clear();
         sh.cursors.resize(num_banks, 0);
         const IDX_MASK: u64 = (1 << 40) - 1;
@@ -1617,10 +1359,10 @@ impl Simulation {
         batch.budgets.clear();
         let mut instr_total = 0.0;
         for t in &mut self.threads {
-            // Event-engine gates. Outside the event engine `active` is
-            // always true, `idle_until` 0, and `rate_scale` 1.0, so the
-            // steady path below computes bit-identical budgets (IEEE
-            // `x * 1.0 == x` bitwise for finite x).
+            // Event-script gates. Without a script `active` is always
+            // true, `idle_until` 0, and `rate_scale` 1.0, so the steady
+            // path below computes bit-identical budgets (IEEE `x * 1.0 == x`
+            // bitwise for finite x).
             if !t.active {
                 // Not yet arrived, or departed: the core is off — no
                 // cycles, no instructions, no accesses.
@@ -1646,8 +1388,8 @@ impl Simulation {
                 t.metrics.cycles += interval as f64;
             }
         }
-        if self.config.reference_engine {
-            // Reference path: one access at a time, round-robin.
+        if self.reference_oracle {
+            // Reference oracle: one access at a time, round-robin.
             loop {
                 let mut any = false;
                 for ti in 0..batch.budgets.len() {
@@ -1661,12 +1403,10 @@ impl Simulation {
                     break;
                 }
             }
-        } else if self.config.intra_cell_threads > 0 {
-            let mut sh = std::mem::take(&mut self.shard);
-            self.run_interval_sharded(&mut batch, &mut sh);
-            self.shard = sh;
         } else {
-            self.run_interval_batched(&mut batch);
+            let mut sh = std::mem::take(&mut self.shard);
+            self.run_pipeline(&mut batch, &mut sh);
+            self.shard = sh;
         }
         self.batch = batch;
         // Interval bookkeeping: AMAT -> IPC feedback.
@@ -1711,44 +1451,15 @@ impl Simulation {
     /// Runs the configured warm-up and measurement epochs and returns the
     /// results.
     ///
-    /// With `SimConfig::engine = Event` this dispatches to the event-driven
-    /// loop ([`Self::run_event`]); the batched loop below stays the
-    /// steady-state fast path.
-    pub fn run(mut self) -> SimResult {
-        if self.config.engine == EngineMode::Event {
-            return self.run_event();
-        }
-        let intervals_per_epoch = (self.config.epoch_cycles / self.config.interval_cycles).max(1);
-        let total_epochs = self.config.warmup_epochs + self.config.measure_epochs;
-        for epoch in 0..total_epochs {
-            self.measuring = epoch >= self.config.warmup_epochs;
-            // The final epoch is followed by no reconfiguration, so nothing
-            // can ever read the samples it would record.
-            self.monitors_live = epoch + 1 < total_epochs;
-            for _ in 0..intervals_per_epoch {
-                self.run_interval();
-            }
-            if self.config.scheme.reconfigures() && epoch + 1 < total_epochs {
-                self.reconfigure();
-            }
-        }
-        self.finish()
-    }
-
-    /// The event-driven engine: the batched epoch/interval loop with a
-    /// script consumed at interval granularity.
-    ///
-    /// Before each interval, due events mutate thread state — phase
-    /// changes scale APKI, bursts set `rate_scale` (restored when the
+    /// The epoch/interval loop consumes [`SimConfig::events`] at interval
+    /// granularity. Before each interval, due events mutate thread state —
+    /// phase changes scale APKI, bursts set `rate_scale` (restored when the
     /// burst's duration elapses), idle gaps set `idle_until`, arrivals and
     /// departures flip `active`. A membership change (arrival/departure)
     /// immediately rebuilds placement through the existing reconfiguration
     /// path, so the planner sees the new roster without bespoke machinery.
-    ///
-    /// With an empty script every gate is a no-op and the loop performs
-    /// the exact operation sequence of [`Self::run`] — pinned bit-identical
-    /// by `crates/sim/tests/events.rs`.
-    fn run_event(mut self) -> SimResult {
+    /// With an empty script every gate is a no-op.
+    pub fn run(mut self) -> SimResult {
         let script: Vec<TimedEvent> = self.config.events.sorted();
         // Sorted-script index -> roster process id for arrivals; slots
         // after the base mix were appended in this same time order by
@@ -2116,21 +1827,24 @@ mod tests {
         // to the post-boundary half (the recovery transient Fig. 17
         // plots). A bulk-invalidation pause marks the boundary in the
         // trace, which is what pins the rounding observably. Seeded and
-        // identical across all three engines.
+        // identical on the oracle and on the pipeline at any worker count.
         let make = |reference: bool, intra: usize| {
             let mut config = SimConfig::small_test();
             config.scheme = Scheme::cdcs();
             config.move_scheme = MoveScheme::BulkInvalidate;
             config.reconfig_benefit_factor = 0.0; // force the mid-trace apply
-            config.reference_engine = reference;
             config.intra_cell_threads = intra;
-            Simulation::new(config, mix(&["omnet", "milc", "calculix"]))
-                .unwrap()
-                .run_trace(2, 5)
+            let sim = Simulation::new(config, mix(&["omnet", "milc", "calculix"])).unwrap();
+            let sim = if reference {
+                sim.with_reference_oracle()
+            } else {
+                sim
+            };
+            sim.run_trace(2, 5)
         };
         let r = make(false, 0);
-        assert_eq!(r, make(true, 0), "engines diverged on an odd trace");
-        assert_eq!(r, make(false, 2), "sharded path diverged on an odd trace");
+        assert_eq!(r, make(true, 0), "pipeline diverged from the oracle");
+        assert_eq!(r, make(false, 2), "2 workers diverged on an odd trace");
         assert_eq!(r.system.reconfigurations, 1);
         // 5 interval points plus the pause marker the bulk invalidation
         // inserts — which must sit after exactly 2 measured intervals.
@@ -2142,6 +1856,22 @@ mod tests {
                 assert!(ipc > 0.0, "interval point {i} has no progress");
             }
         }
+    }
+
+    #[test]
+    fn unwritable_trace_record_dir_is_a_construction_error() {
+        // A directory cannot be created under a regular file: the run must
+        // be refused up front, not panic in `finish` after it.
+        let file = std::env::temp_dir().join(format!("cdcs-record-file-{}", std::process::id()));
+        std::fs::write(&file, b"not a directory").unwrap();
+        let mut config = SimConfig::small_test();
+        config.trace_record = file.join("sub").to_string_lossy().into_owned();
+        let err = Simulation::new(config, mix(&["calculix"])).err();
+        std::fs::remove_file(&file).unwrap();
+        assert!(
+            err.as_deref().is_some_and(|e| e.contains("trace_record")),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub mod runner;
 mod scheme;
 pub mod session;
 
-pub use config::{ConfigPatch, EngineMode, MonitorKind, SimConfig};
+pub use config::{ConfigPatch, MonitorKind, SimConfig};
 pub use energy::{EnergyBreakdown, EnergyModel};
 pub use engine::{SimResult, Simulation, SHARD_SEQ_THRESHOLD};
 pub use memory::MemoryModel;

@@ -61,14 +61,6 @@ impl MemoryModel {
         self.latency
     }
 
-    /// Records `k` accesses at once — identical to calling
-    /// [`Self::access`] `k` times and discarding the returned estimates
-    /// (the estimate only changes at interval boundaries).
-    #[inline]
-    pub fn count_accesses(&mut self, k: u64) {
-        self.interval_accesses += k;
-    }
-
     /// Ends an interval of `cycles` cycles: computes utilization and updates
     /// the latency estimate for the next interval.
     ///

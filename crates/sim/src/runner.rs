@@ -148,13 +148,13 @@ fn collect_session(session: GridSession) -> Result<Vec<SimResult>, String> {
 /// cancellation, per-cell latency — hold the session directly (the
 /// `cdcs-serve` daemon does).
 ///
-/// When `config.intra_cell_threads` asks for bank-sharded intra-cell
-/// parallelism too, the inner worker count is clamped so that
+/// When `config.intra_cell_threads` asks for intra-cell workers too, the
+/// inner worker count is clamped so that
 /// `outer × inner` never exceeds the machine: wide grids keep cell-level
 /// parallelism (the better-scaling axis) and shed inner workers; a 1-cell
 /// "grid" keeps its full intra-cell fan-out (see
 /// [`crate::session::clamp_intra_cell`]). The clamp cannot change any
-/// result — sharded results are bit-identical for every worker count.
+/// result — the pipeline is bit-identical for every worker count.
 ///
 /// # Errors
 ///

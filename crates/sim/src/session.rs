@@ -62,21 +62,17 @@ impl std::fmt::Debug for SessionOptions {
     }
 }
 
-/// Applies the PR 3 nested-clamp rule for a session executed by
-/// `pool_workers` concurrent workers: when the config asks for bank-sharded
-/// intra-cell parallelism too, the inner worker count is clamped so
-/// `pool × inner` never exceeds the machine. Cell-level parallelism (the
-/// better-scaling axis) keeps priority; a 1-worker pool keeps its full
-/// intra-cell fan-out. The clamp cannot change any result — sharded results
-/// are bit-identical for every worker count.
+/// Applies the nested-clamp rule for a session executed by `pool_workers`
+/// concurrent workers: when the config asks for intra-cell workers too,
+/// the inner worker count is clamped so `pool × inner` never exceeds the
+/// machine. Cell-level parallelism (the better-scaling axis) keeps
+/// priority; a 1-worker pool keeps its full intra-cell fan-out. The clamp
+/// cannot change any result — the pipeline is bit-identical for every
+/// worker count.
 pub fn clamp_intra_cell(config: &SimConfig, pool_workers: usize) -> SimConfig {
     let machine = rayon::current_num_threads();
     let mut cfg = config.clone();
     if cfg.intra_cell_threads > 1 {
-        // Flooring at 1 (not 0 = the batched engine) is deliberate: the
-        // 1-worker shard pipeline drains in-thread with no spawns and its
-        // bank-grouped processing measures faster than the batched engine's
-        // interleaved drain (see `runner::run_grid`).
         cfg.intra_cell_threads = cfg
             .intra_cell_threads
             .min((machine / pool_workers.max(1)).max(1));

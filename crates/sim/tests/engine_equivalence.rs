@@ -1,13 +1,14 @@
-//! Golden test: the batched, table-driven engine produces **bit-identical**
-//! results to the one-access-at-a-time reference path.
+//! Golden test: the batched, bank-grouped interval pipeline produces
+//! **bit-identical** results to the one-access-at-a-time reference oracle
+//! (`Simulation::with_reference_oracle`), for every worker count.
 //!
-//! The batched pipeline (`Simulation::run_interval_batched`) reorders *work*
-//! — stream draws are hoisted per thread, distances come from precomputed
-//! tables, per-access config reads are hoisted per interval — but must not
-//! reorder *effects*: every shared structure (LLC, monitors, memory model,
+//! The pipeline reorders *work* — each interval's stream draws are
+//! generated as one batch per thread, accesses are routed and grouped by
+//! home bank, distances come from precomputed tables — but must not reorder
+//! *effects*: every bank, monitor and accumulator (LLC, memory model,
 //! controller interleave, traffic counters) sees the exact access sequence
-//! the reference path issues. `SimResult` derives `PartialEq` over every
-//! counter, trace point and f64 accumulator, so equality here is exact, not
+//! the oracle issues. `SimResult` derives `PartialEq` over every counter,
+//! trace point and f64 accumulator, so equality here is exact, not
 //! approximate.
 
 use cdcs_sim::{MoveScheme, Scheme, SimConfig, SimResult, Simulation};
@@ -20,16 +21,20 @@ fn mix(names: &[&str]) -> WorkloadMix {
     .expect("known app names")
 }
 
-fn run(config: &SimConfig, names: &[&str], reference: bool) -> SimResult {
-    let mut config = config.clone();
-    config.reference_engine = reference;
-    Simulation::new(config, mix(names)).expect("sim").run()
+/// A simulation of `names` under `config`, on the oracle when `reference`.
+fn sim(config: &SimConfig, names: &[&str], reference: bool) -> Simulation {
+    let sim = Simulation::new(config.clone(), mix(names)).expect("sim");
+    if reference {
+        sim.with_reference_oracle()
+    } else {
+        sim
+    }
 }
 
 fn assert_paths_equal(config: &SimConfig, names: &[&str], what: &str) {
-    let reference = run(config, names, true);
-    let batched = run(config, names, false);
-    assert_eq!(reference, batched, "batched path diverged: {what}");
+    let reference = sim(config, names, true).run();
+    let pipeline = sim(config, names, false).run();
+    assert_eq!(reference, pipeline, "pipeline diverged: {what}");
 }
 
 /// ≥3 schemes × 2 mixes, bit-for-bit. The mixes cover single-threaded
@@ -58,7 +63,7 @@ fn batched_engine_matches_reference_across_schemes_and_mixes() {
 }
 
 /// The movement machinery variants drive the shadow-window / detour code in
-/// `process_access`; pin those too.
+/// the bank shards and the reduce; pin those too.
 #[test]
 fn batched_engine_matches_reference_across_move_schemes() {
     for move_scheme in [
@@ -87,17 +92,14 @@ fn batched_engine_matches_reference_on_traces() {
     let trace = |reference: bool| {
         let mut config = SimConfig::small_test();
         config.scheme = Scheme::cdcs();
-        config.reference_engine = reference;
-        Simulation::new(config, mix(&["omnet", "milc"]))
-            .expect("sim")
-            .run_trace(4, 6)
+        sim(&config, &["omnet", "milc"], reference).run_trace(4, 6)
     };
     assert_eq!(trace(true), trace(false), "run_trace diverged");
 }
 
 /// A config whose intervals are large enough (≥ the engine's in-thread
-/// fall-back threshold, `SHARD_SEQ_THRESHOLD` accesses) that the sharded
-/// pipeline really spawns its fan-outs — otherwise multi-worker configs
+/// fall-back threshold, `SHARD_SEQ_THRESHOLD` accesses) that the pipeline
+/// really spawns its fan-outs — otherwise multi-worker configs
 /// would quietly drain on one worker and the test would prove less than
 /// it claims. `assert_forces_fanout` keeps that premise honest.
 fn sharded_config(scheme: Scheme) -> SimConfig {
@@ -115,7 +117,7 @@ fn sharded_config(scheme: Scheme) -> SimConfig {
 }
 
 /// Asserts that a run's *average* interval carried comfortably more than
-/// the fan-out threshold, so the multi-worker sharded path was genuinely
+/// the fan-out threshold, so the multi-worker pipeline was genuinely
 /// exercised (the access counters accumulate over warm-up and measurement
 /// alike, so total accesses / total intervals is the right average).
 fn assert_forces_fanout(r: &SimResult, intervals: u64, what: &str) {
@@ -129,28 +131,20 @@ fn assert_forces_fanout(r: &SimResult, intervals: u64, what: &str) {
     );
 }
 
-fn run_cfg(config: &SimConfig, names: &[&str], intra_cell_threads: usize) -> SimResult {
+fn with_workers(config: &SimConfig, intra_cell_threads: usize) -> SimConfig {
     let mut config = config.clone();
     config.intra_cell_threads = intra_cell_threads;
-    Simulation::new(config, mix(names)).expect("sim").run()
+    config
 }
 
-fn trace_cfg(config: &SimConfig, names: &[&str], intra_cell_threads: usize) -> SimResult {
-    let mut config = config.clone();
-    config.intra_cell_threads = intra_cell_threads;
-    Simulation::new(config, mix(names))
-        .expect("sim")
-        .run_trace(1, 3)
-}
-
-/// Golden test for the bank-sharded pipeline: across all 4 schemes × both
-/// mixes × both entry points (`run` and `run_trace`) × 1/2/4 shard
-/// threads, results are **bit-identical** to the single-core batched
-/// engine. The partition of work by home bank is fixed by the routes and
-/// the reduction replays the serial drain order, so the worker count can
-/// only change wall clock — this is the test that holds that claim.
+/// Golden test for the pipeline's fan-outs: across all 4 schemes × both
+/// mixes × both entry points (`run` and `run_trace`) × 1/2/4 workers,
+/// results are **bit-identical** to the reference oracle. The partition of
+/// work by home bank is fixed by the routes and the reduction replays the
+/// oracle's drain order, so the worker count can only change wall clock —
+/// this is the test that holds that claim.
 #[test]
-fn sharded_engine_matches_batched_across_schemes_mixes_and_threads() {
+fn sharded_engine_matches_reference_across_schemes_mixes_and_threads() {
     let mixes: [&[&str]; 2] = [
         &["calculix", "milc"],
         &["omnet", "xalancbmk", "bzip2", "ilbdc"],
@@ -164,21 +158,22 @@ fn sharded_engine_matches_batched_across_schemes_mixes_and_threads() {
     for names in mixes {
         for scheme in schemes {
             let config = sharded_config(scheme);
-            let batched_run = run_cfg(&config, names, 0);
-            let batched_trace = trace_cfg(&config, names, 0);
+            let oracle_run = sim(&config, names, true).run();
+            let oracle_trace = sim(&config, names, true).run_trace(1, 3);
             // 3 epochs × 1 interval each under `sharded_config`.
-            assert_forces_fanout(&batched_run, 3, &format!("{} / {names:?}", scheme.name()));
+            assert_forces_fanout(&oracle_run, 3, &format!("{} / {names:?}", scheme.name()));
             for threads in [1, 2, 4] {
+                let config = with_workers(&config, threads);
                 assert_eq!(
-                    batched_run,
-                    run_cfg(&config, names, threads),
-                    "sharded run diverged: {} / {names:?} / {threads} threads",
+                    oracle_run,
+                    sim(&config, names, false).run(),
+                    "pipeline run diverged: {} / {names:?} / {threads} workers",
                     scheme.name()
                 );
                 assert_eq!(
-                    batched_trace,
-                    trace_cfg(&config, names, threads),
-                    "sharded run_trace diverged: {} / {names:?} / {threads} threads",
+                    oracle_trace,
+                    sim(&config, names, false).run_trace(1, 3),
+                    "pipeline run_trace diverged: {} / {names:?} / {threads} workers",
                     scheme.name()
                 );
             }
@@ -186,10 +181,10 @@ fn sharded_engine_matches_batched_across_schemes_mixes_and_threads() {
     }
 }
 
-/// Nested parallelism: `run_grid`'s cell-level fan-out with bank-sharded
+/// Nested parallelism: `run_grid`'s cell-level fan-out with multi-worker
 /// cells inside must stay byte-identical to fully serial execution (outer
-/// pool of 1, inner workers 0). The outer pool clamps the inner count on
-/// narrow machines; the clamp must not change results either.
+/// pool of 1, cells drained in-thread). The outer pool clamps the inner
+/// count on narrow machines; the clamp must not change results either.
 #[test]
 fn nested_grid_with_sharded_cells_matches_serial() {
     use cdcs_sim::runner::{run_grid, run_grid_serial, GridCell};
@@ -206,11 +201,11 @@ fn nested_grid_with_sharded_cells_matches_serial() {
             cells.push(GridCell::new(scheme, mix(names)));
         }
     }
-    // Serial baseline: no outer fan-out, no inner sharding.
+    // Serial baseline: no outer fan-out, every cell drained in-thread.
     let mut serial_cfg = config.clone();
     serial_cfg.intra_cell_threads = 0;
     let serial = run_grid_serial(&serial_cfg, &cells).expect("serial grid");
-    // Outer pool of 4 workers, 2 shard threads inside every cell.
+    // Outer pool of 4 workers, 2 pipeline workers inside every cell.
     config.intra_cell_threads = 2;
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(4)

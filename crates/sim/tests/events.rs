@@ -1,27 +1,23 @@
-//! Golden tests for the event-driven engine and trace record/replay.
+//! Golden tests for event scripts and trace record/replay.
 //!
-//! Three bit-exactness pins:
+//! Two bit-exactness pins:
 //!
-//! 1. **Steady equivalence** — a steady-rate [`EventScript`] (no events)
-//!    run through the event engine is *bit-identical* to the batched
-//!    engine, across schemes and mixes. The event engine is the batched
-//!    epoch/interval loop plus gates that are provably transparent when
-//!    nothing fires (`x * 1.0` is bitwise `x` for finite IEEE doubles,
-//!    `active` stays true, `idle_until` stays 0).
-//! 2. **Record → replay** — a run recorded with `trace_record` and
+//! 1. **Record → replay** — a run recorded with `trace_record` and
 //!    replayed from the trace alone (`trace_replay`, same config)
 //!    reproduces the original [`SimResult`] bit-exactly: the cursor yields
 //!    the recorded draws in order, so every downstream structure sees the
 //!    identical access sequence.
-//! 3. **Dynamic determinism** — a full scenario (arrival + burst + idle +
+//! 2. **Dynamic determinism** — a full scenario (arrival + burst + idle +
 //!    departure) is a pure function of the spec: two runs serialize to the
 //!    same bytes.
+//!
+//! The rest pin what each [`WorkloadEvent`] does to the run.
 //!
 //! The `CDCS_WRITE_TRACES=1` test at the bottom regenerates the committed
 //! `specs/traces/calculix_milc` fixture that `specs::trace_replay()` (and
 //! the CI dynamic smoke) replays.
 
-use cdcs_sim::{EngineMode, Scheme, SimConfig, SimResult, Simulation};
+use cdcs_sim::{Scheme, SimConfig, SimResult, Simulation};
 use cdcs_workload::{EventScript, MixSpec, TimedEvent, WorkloadEvent, WorkloadMix};
 
 fn mix(names: &[&str]) -> WorkloadMix {
@@ -51,28 +47,6 @@ const FIXTURE_DIR: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/../../specs/traces/calculix_milc"
 );
-
-#[test]
-fn steady_event_engine_is_bit_identical_to_batched() {
-    let mixes: [&[&str]; 2] = [&["calculix", "milc"], &["omnet", "xalancbmk", "ilbdc"]];
-    for names in mixes {
-        for scheme in [Scheme::SNuca, Scheme::cdcs()] {
-            let mut batched = SimConfig::small_test();
-            batched.scheme = scheme;
-            let mut event = batched.clone();
-            event.engine = EngineMode::Event;
-            assert_eq!(event.events, EventScript::steady(), "steady = empty script");
-            let a = run(batched, names);
-            let b = run(event, names);
-            assert_eq!(
-                a,
-                b,
-                "event engine diverged on a steady script: {} / {names:?}",
-                scheme.name()
-            );
-        }
-    }
-}
 
 #[test]
 fn record_then_replay_reproduces_the_run_bit_exactly() {
@@ -140,7 +114,6 @@ fn dynamic_script() -> EventScript {
 fn dynamic_config(scheme: Scheme) -> SimConfig {
     let mut config = SimConfig::small_test();
     config.scheme = scheme;
-    config.engine = EngineMode::Event;
     config.events = dynamic_script();
     config.epoch_cycles = 150_000;
     config.interval_cycles = 15_000;
@@ -178,7 +151,6 @@ fn departure_stops_a_thread_for_good() {
     // Depart process 1 during warmup: it must retire nothing measured.
     let mut config = SimConfig::small_test();
     config.scheme = Scheme::cdcs();
-    config.engine = EngineMode::Event;
     config.warmup_epochs = 1;
     config.measure_epochs = 2;
     config.events = EventScript {
@@ -199,13 +171,11 @@ fn idle_gaps_cost_cycles_not_instructions() {
     let steady = {
         let mut config = SimConfig::small_test();
         config.scheme = Scheme::SNuca;
-        config.engine = EngineMode::Event;
         run(config, &["calculix", "milc"])
     };
     let idled = {
         let mut config = SimConfig::small_test();
         config.scheme = Scheme::SNuca;
-        config.engine = EngineMode::Event;
         // Idle process 0 for two full measured epochs' worth of cycles.
         config.events = EventScript {
             events: vec![TimedEvent {
@@ -229,7 +199,6 @@ fn rate_bursts_raise_a_processes_access_rate() {
     let burst = {
         let mut config = SimConfig::small_test();
         config.scheme = Scheme::SNuca;
-        config.engine = EngineMode::Event;
         config.events = EventScript {
             events: vec![TimedEvent {
                 at_cycle: 0,
@@ -245,7 +214,6 @@ fn rate_bursts_raise_a_processes_access_rate() {
     let steady = {
         let mut config = SimConfig::small_test();
         config.scheme = Scheme::SNuca;
-        config.engine = EngineMode::Event;
         run(config, &["calculix", "milc"])
     };
     assert!(
@@ -263,7 +231,6 @@ fn phase_changes_scale_apki_permanently() {
     let phase = {
         let mut config = SimConfig::small_test();
         config.scheme = Scheme::SNuca;
-        config.engine = EngineMode::Event;
         config.events = EventScript {
             events: vec![TimedEvent {
                 at_cycle: 0,
@@ -278,7 +245,6 @@ fn phase_changes_scale_apki_permanently() {
     let steady = {
         let mut config = SimConfig::small_test();
         config.scheme = Scheme::SNuca;
-        config.engine = EngineMode::Event;
         run(config, &["calculix", "milc"])
     };
     assert!(phase.threads[0].accesses > steady.threads[0].accesses);

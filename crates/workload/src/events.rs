@@ -1,12 +1,12 @@
 //! Timestamped workload events: dynamic scenarios over a base mix.
 //!
-//! Every mix in the steady-state engine is stationary — processes run at a
-//! fixed rate from cycle 0 to the end of the run. The event layer removes
-//! that restriction: an [`EventScript`] is a list of [`TimedEvent`]s that
-//! the event-driven engine (`SimConfig::engine = Event` in `cdcs-sim`)
-//! applies at interval boundaries — apps arrive, burst, idle, change phase,
-//! and depart mid-run, and partitioned schemes track them through the
-//! ordinary reconfiguration path.
+//! A mix on its own is stationary — processes run at a fixed rate from
+//! cycle 0 to the end of the run. The event layer removes that
+//! restriction: an [`EventScript`] is a list of [`TimedEvent`]s that the
+//! simulator's run loop (`SimConfig::events` in `cdcs-sim`) applies at
+//! interval boundaries — apps arrive, burst, idle, change phase, and
+//! depart mid-run, and partitioned schemes track them through the ordinary
+//! reconfiguration path.
 //!
 //! Everything is deterministic: a script is plain serializable data, and the
 //! seeded [`EventScript::generate`] derives a random scenario from its seed
@@ -88,12 +88,10 @@ pub struct TimedEvent {
 }
 
 /// A dynamic scenario: timestamped events over a base mix. An empty script
-/// is the steady-state workload — the event engine run of an empty script
-/// is bit-identical to the batched engine (pinned by
-/// `crates/sim/tests/events.rs`).
+/// is the steady-state workload: every gate of the run loop stays a no-op.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct EventScript {
-    /// The events, in any order; the engine applies them sorted by
+    /// The events, in any order; the run loop applies them sorted by
     /// `at_cycle` (ties keep script order).
     #[serde(default)]
     pub events: Vec<TimedEvent>,

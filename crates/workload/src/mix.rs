@@ -142,8 +142,8 @@ impl WorkloadMix {
         &self.processes
     }
 
-    /// Appends a process to the mix (the event engine extends the roster
-    /// with one slot per scripted arrival before construction). Stream
+    /// Appends a process to the mix (the simulator extends the roster with
+    /// one slot per scripted arrival before construction). Stream
     /// seeds of existing processes are unaffected — [`Self::stream_seed`]
     /// depends only on the mix seed and the process/thread indices.
     pub fn push_process(&mut self, app: AppProfile) {

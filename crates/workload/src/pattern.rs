@@ -160,57 +160,11 @@ impl PatternState {
         }
     }
 
-    /// Bulk form of [`Self::next_offset`]: appends the next `n` offsets to
-    /// `out` — exactly the sequence `n` single draws would produce, with
-    /// the pattern dispatch hoisted out of the loop (the simulator
-    /// generates a whole interval's accesses per thread at once).
-    /// (No up-front `reserve`: the caller's buffer reaches its steady-state
-    /// capacity through normal doubling within the first interval, and an
-    /// exact-sized reserve here was observed to shift the buffer into a
-    /// heap placement that aliased the simulator's hot hash tables.)
-    pub fn fill_offsets(
-        &mut self,
-        pattern: &Pattern,
-        rng: &mut SmallRng,
-        n: usize,
-        out: &mut Vec<u64>,
-    ) {
-        match (self, pattern) {
-            (PatternState::Scan { pos }, Pattern::Scan { lines })
-            | (PatternState::Loop { pos }, Pattern::Loop { lines }) => {
-                for _ in 0..n {
-                    out.push(*pos);
-                    *pos += 1;
-                    if *pos == *lines {
-                        *pos = 0;
-                    }
-                }
-            }
-            (PatternState::Hot, Pattern::Hot { lines }) => {
-                for _ in 0..n {
-                    out.push(rng.gen_range(0..*lines));
-                }
-            }
-            (PatternState::Zipf, Pattern::Zipf { lines, alpha }) => {
-                for _ in 0..n {
-                    out.push(zipf_sample(*lines, *alpha, rng));
-                }
-            }
-            (state @ PatternState::Mix { .. }, pattern @ Pattern::Mix(_)) => {
-                for _ in 0..n {
-                    let o = state.next_offset(pattern, rng);
-                    out.push(o);
-                }
-            }
-            _ => unreachable!("pattern state mismatch"),
-        }
-    }
-
-    /// Slice form of [`Self::fill_offsets`]: overwrites every slot of `out`
-    /// with the next `out.len()` offsets — the same draw sequence, written
-    /// into caller-owned storage. The sharded engine pre-sizes one flat
-    /// interval buffer and fills disjoint per-thread windows of it in
-    /// parallel, which a `Vec`-append API cannot serve.
+    /// Bulk form of [`Self::next_offset`]: overwrites every slot of `out`
+    /// with the next `out.len()` offsets — exactly the sequence that many
+    /// single draws would produce, with the pattern dispatch hoisted out of
+    /// the loop. The simulator pre-sizes one flat interval buffer and fills
+    /// disjoint per-thread windows of it in parallel.
     pub fn fill_offsets_slice(&mut self, pattern: &Pattern, rng: &mut SmallRng, out: &mut [u64]) {
         match (self, pattern) {
             (PatternState::Scan { pos }, Pattern::Scan { lines })

@@ -222,32 +222,19 @@ impl AccessStream {
         }
     }
 
-    /// Whether this stream can serve [`Self::fill_private_offsets`]: no
+    /// Whether this stream can serve [`Self::fill_private_offsets_slice`]: no
     /// shared pattern, so every access is thread-private and no RNG draw
     /// decides the class.
     pub fn is_private_only(&self) -> bool {
         self.shared.is_none()
     }
 
-    /// Bulk draw for private-only streams: appends the next `n` offsets to
-    /// `out` — exactly the offsets `n` [`Self::next_access`] calls would
-    /// return (which would all be [`StreamTarget::ThreadPrivate`]), with
-    /// the per-access pattern dispatch hoisted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stream has a shared pattern (class selection consumes
-    /// RNG draws, so bulk generation would diverge).
-    pub fn fill_private_offsets(&mut self, n: usize, out: &mut Vec<u64>) {
-        assert!(self.shared.is_none(), "stream has a shared pattern");
-        self.private_state
-            .fill_offsets(&self.private_pattern, &mut self.rng, n, out);
-    }
-
-    /// Slice form of [`Self::fill_private_offsets`]: overwrites every slot
-    /// of `out` with the next `out.len()` private offsets — identical draws
-    /// (the sharded engine fills disjoint windows of one flat interval
-    /// buffer from several threads at once).
+    /// Bulk draw for private-only streams: overwrites every slot of `out`
+    /// with the next `out.len()` offsets — exactly the offsets that many
+    /// [`Self::next_access`] calls would return (which would all be
+    /// [`StreamTarget::ThreadPrivate`]), with the per-access pattern
+    /// dispatch hoisted (the simulator fills disjoint windows of one flat
+    /// interval buffer from several threads at once).
     ///
     /// # Panics
     ///
@@ -296,7 +283,7 @@ mod tests {
     }
 
     #[test]
-    fn slice_fill_matches_vec_fill_and_single_draws() {
+    fn slice_fill_matches_single_draws() {
         let app = AppProfile::single_threaded(
             "st",
             10.0,
@@ -309,14 +296,18 @@ mod tests {
         );
         let mut a = AccessStream::for_thread(&app, 0, 42);
         let mut b = a.clone();
-        let mut c = a.clone();
-        let mut vec_out = Vec::new();
-        a.fill_private_offsets(257, &mut vec_out);
+        // Two fills back to back: the second must resume where the first
+        // left the pattern cursor and the RNG.
         let mut slice_out = vec![0u64; 257];
-        b.fill_private_offsets_slice(&mut slice_out);
-        let single: Vec<u64> = (0..257).map(|_| c.next_access().1).collect();
-        assert_eq!(vec_out, slice_out);
-        assert_eq!(vec_out, single);
+        let (head, tail) = slice_out.split_at_mut(100);
+        a.fill_private_offsets_slice(head);
+        a.fill_private_offsets_slice(tail);
+        let single: Vec<(StreamTarget, u64)> = (0..257).map(|_| b.next_access()).collect();
+        assert!(single
+            .iter()
+            .all(|&(t, _)| t == StreamTarget::ThreadPrivate));
+        let single: Vec<u64> = single.into_iter().map(|(_, o)| o).collect();
+        assert_eq!(slice_out, single);
     }
 
     #[test]

@@ -307,25 +307,6 @@ impl ThreadSource {
         }
     }
 
-    /// See [`AccessStream::fill_private_offsets`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the source is not private-only.
-    pub fn fill_private_offsets(&mut self, n: usize, out: &mut Vec<u64>) {
-        let start = out.len();
-        match &mut self.inner {
-            SourceInner::Synthetic(s) => s.fill_private_offsets(n, out),
-            SourceInner::Replay(c) => {
-                assert!(c.private_only, "trace log has shared records");
-                out.extend((0..n).map(|_| c.next().1));
-            }
-        }
-        if let Some(tap) = &mut self.tap {
-            tap.extend(out[start..].iter().map(|&o| (TAG_PRIVATE, o)));
-        }
-    }
-
     /// See [`AccessStream::fill_private_offsets_slice`].
     ///
     /// # Panics
@@ -474,11 +455,10 @@ mod tests {
         for _ in 0..64 {
             assert_eq!(src.next_access(), raw.next_access());
         }
-        let mut raw_bulk = Vec::new();
-        raw.fill_private_offsets(100, &mut raw_bulk);
-        let mut src_bulk = Vec::new();
-        src.fill_private_offsets(100, &mut src_bulk);
-        assert_eq!(src_bulk, raw_bulk);
+        let mut src_bulk = vec![0u64; 100];
+        src.fill_private_offsets_slice(&mut src_bulk);
+        let raw_single: Vec<u64> = (0..100).map(|_| raw.next_access().1).collect();
+        assert_eq!(src_bulk, raw_single);
     }
 
     #[test]
@@ -505,14 +485,13 @@ mod tests {
         let app = spec::by_name("omnet").unwrap();
         let mut src = ThreadSource::synthetic(AccessStream::for_thread(app, 0, 3));
         src.enable_tap();
-        let mut bulk = Vec::new();
-        src.fill_private_offsets(10, &mut bulk);
+        let single: Vec<u64> = (0..10).map(|_| src.next_access().1).collect();
         let mut slice = vec![0u64; 5];
         src.fill_private_offsets_slice(&mut slice);
         let (records, private_only) = src.finish_tap(0).unwrap();
         assert!(private_only);
         let offsets: Vec<u64> = records.iter().map(|r| r.1).collect();
-        let mut expect = bulk.clone();
+        let mut expect = single;
         expect.extend_from_slice(&slice);
         assert_eq!(offsets, expect);
     }

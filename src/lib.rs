@@ -51,8 +51,9 @@
 //! assert!(perf(&cdcs) > 0.0 && perf(&snuca) > 0.0);
 //! ```
 //!
-//! See `README.md` for the experiment harness (one binary per paper figure)
-//! and `DESIGN.md` / `EXPERIMENTS.md` for the reproduction methodology.
+//! See `README.md` ("Running experiments") for the experiment harness (one
+//! binary per paper figure) and `DESIGN.md` for the reproduction
+//! methodology.
 //!
 //! [Beckmann, Tsai & Sanchez, *"Scaling Distributed Cache Hierarchies
 //! through Computation and Data Co-Scheduling"*, HPCA 2015]:
