@@ -1,6 +1,6 @@
 //! `lock-order` — `cdcs-serve` acquires its mutexes in one declared order.
 //!
-//! The daemon holds seven mutexes across five layers (server → fleet →
+//! The daemon holds six mutexes across five layers (server → fleet →
 //! scheduler → job → admission). Deadlock needs two functions acquiring
 //! two of them in opposite orders, so the pass extracts, per function, the
 //! sequence of lock acquisitions appearing in the body and checks every
@@ -11,7 +11,7 @@
 //! Acquisitions are recognized three ways:
 //! * directly — `<name>.lock()` (receiver ident before the call);
 //! * through the named wrapper methods ([`WRAPPERS`]: `lock_jobs`,
-//!   `lock_fleet`, `lock_phase`, `lock_running`);
+//!   `lock_fleet`, `lock_phase`);
 //! * through a bare `self.lock()` whose meaning is file-specific
 //!   ([`SELF_ALIAS`]).
 //!
@@ -29,28 +29,18 @@ const LINT: &str = "lock-order";
 /// daemon's layering: the server's job list is the entry point, the
 /// fleet's runner and lease state nests next (its poll path holds
 /// `fleet` while claiming from the rotation — the second deliberate
-/// nesting), the scheduler's rotation coordinates workers, per-job state
-/// nests inside (the running-cell bookkeeping is touch-and-release
-/// around each unit, the phase is the terminal-state gate, and the
-/// assembly is drained *while the phase lock is held* in `try_finalize`
-/// — the other deliberate nesting), and the admission buckets are a leaf
-/// taken on their own.
-pub const ORDER: [&str; 7] = [
-    "jobs",
-    "fleet",
-    "rotation",
-    "running_cells",
-    "phase",
-    "assembly",
-    "buckets",
-];
+/// nesting), the scheduler's rotation orders every runner's claims,
+/// per-job state nests inside (the phase is the terminal-state gate, and
+/// the assembly is drained *while the phase lock is held* in
+/// `try_finalize` — the other deliberate nesting), and the admission
+/// buckets are a leaf taken on their own.
+pub const ORDER: [&str; 6] = ["jobs", "fleet", "rotation", "phase", "assembly", "buckets"];
 
 /// Wrapper methods that acquire a named lock.
-pub const WRAPPERS: [(&str, &str); 4] = [
+pub const WRAPPERS: [(&str, &str); 3] = [
     ("lock_jobs", "jobs"),
     ("lock_fleet", "fleet"),
     ("lock_phase", "phase"),
-    ("lock_running", "running_cells"),
 ];
 
 /// What a bare `self.lock()` means, per file stem.

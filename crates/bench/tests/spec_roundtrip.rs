@@ -39,23 +39,18 @@ fn committed_specs() -> Vec<(&'static str, ExperimentSpec)> {
     ]
 }
 
-/// Maintenance hook, not a check: `CDCS_WRITE_SPECS=1 cargo test -p
-/// cdcs-bench --test spec_roundtrip` rewrites the committed specs from the
-/// constructors (the next test then verifies the result).
-#[test]
-fn regenerate_committed_specs_when_asked() {
-    if std::env::var("CDCS_WRITE_SPECS").is_err() {
-        return;
-    }
-    for (path, spec) in committed_specs() {
-        let canonical = serde_json::to_string_pretty(&spec).expect("serializes");
-        std::fs::write(path, format!("{canonical}\n")).expect("writing spec");
-    }
-}
-
+/// `CDCS_WRITE_SPECS=1 cargo test -p cdcs-bench --test spec_roundtrip`
+/// first rewrites the committed specs from the constructors, then checks
+/// them — in this one test, so the check can never read a file a
+/// parallel test has not written yet.
 #[test]
 fn committed_specs_match_their_constructors() {
+    let regenerate = std::env::var("CDCS_WRITE_SPECS").is_ok();
     for (path, spec) in committed_specs() {
+        let canonical = serde_json::to_string_pretty(&spec).expect("serializes");
+        if regenerate {
+            std::fs::write(path, format!("{canonical}\n")).expect("writing spec");
+        }
         let committed =
             std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{path} is committed: {e}"));
         let parsed: ExperimentSpec =
@@ -63,7 +58,6 @@ fn committed_specs_match_their_constructors() {
         assert_eq!(parsed, spec, "{path} drifted from its constructor");
         // And the file itself is the canonical serialization (regenerate
         // with `CDCS_WRITE_SPECS=1`).
-        let canonical = serde_json::to_string_pretty(&spec).expect("serializes");
         assert_eq!(
             committed,
             format!("{canonical}\n"),

@@ -4,13 +4,15 @@
 //! cdcs-runner --addr 127.0.0.1:7077 --name rack3-17
 //! ```
 //!
-//! Registers with the `cdcs-serve` daemon at `--addr`, then loops:
-//! lease a unit of work, execute it (bit-identical to a local worker —
-//! same `run_cell` entry point on the shipped `(config, cell)`),
-//! heartbeat while working, post the result. Survives daemon restarts
-//! by re-registering; a revoked lease (missed heartbeats, injected
-//! `lose_lease` fault) is abandoned mid-flight — the daemon has already
-//! re-queued the cell. Runs until killed.
+//! Registers with the `cdcs-serve` daemon at `--addr`, then runs the
+//! same loop as the daemon's own `--workers`, over HTTP: lease a unit of
+//! work, execute it (bit-identical to in-process execution — same
+//! `run_cell` entry point on the shipped `(config, cell)`, and any
+//! injected cell fault fires here), heartbeat while working, post the
+//! result. Survives daemon restarts by re-registering; a revoked lease
+//! (missed heartbeats, injected `lose_lease` fault) is abandoned
+//! mid-flight — the daemon has already re-queued the cell. Runs until
+//! killed.
 
 use cdcs_bench::arg_value;
 use cdcs_serve::Runner;

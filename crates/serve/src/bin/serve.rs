@@ -7,8 +7,10 @@
 //! ```
 //!
 //! Accepts `ExperimentSpec` JSON on `POST /jobs`, interleaves cells from
-//! concurrent jobs fairly across one shared worker pool, and serves
-//! per-cell progress and finished reports (see the `cdcs` client).
+//! concurrent jobs fairly across its runners, and serves per-cell
+//! progress and finished reports (see the `cdcs` client). `--workers N`
+//! (default: the machine's thread count) starts N in-process runners
+//! (`local-0`, …) that lease cells exactly as `cdcs-runner` processes do.
 //!
 //! Hardening knobs (all optional; omitted = permissive):
 //!
@@ -18,19 +20,20 @@
 //!   each tenant (`X-Tenant` header) may burst `B` submissions and
 //!   refills at `R` per second;
 //! * `--cell-timeout-ms MS` — per-cell wall-clock watchdog: a cell
-//!   running longer fails its job;
+//!   leased longer, to a local or a remote runner, fails its job;
 //! * `CDCS_FAULT` / `--fault SPEC` — deterministic fault injection
 //!   (`panic_cell:3`, `slow_cell:1:500`, `drop_conn:2`, `garble_conn`,
 //!   `lose_lease:2`), for the e2e suites and operational drills.
 //!
 //! Fleet knobs (see `cdcs-runner` for the worker side):
 //!
-//! * `--workers 0` — fleet-only mode: no local pool; every cell is
-//!   leased to remote runners;
+//! * `--workers 0` — fleet-only mode: no in-process runner; every cell
+//!   is leased to remote runners;
 //! * `--lease-ttl-ms MS` — heartbeat window before a lease is revoked
 //!   and its cell re-queued (default 5000);
 //! * `--runner-ttl-ms MS` — silence window before a runner is expired
-//!   and all its work re-queued (default 20000).
+//!   and all its work re-queued (default 20000); polls, heartbeats and
+//!   results all count as signs of life.
 
 use cdcs_bench::arg_value;
 use cdcs_serve::admission::TenantLimit;

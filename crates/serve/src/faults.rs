@@ -1,17 +1,16 @@
 //! Deterministic fault injection for the daemon.
 //!
 //! A [`FaultPlan`] is parsed from a compact spec string (the `CDCS_FAULT`
-//! environment variable, or `--fault` on `cdcs-serve`) and threaded into
-//! the two places the service can be hurt:
+//! environment variable, or `--fault` on `cdcs-serve`) and consulted at
+//! the places the service can be hurt:
 //!
-//! * **cell faults** — installed as the session's
-//!   [`cdcs_sim::CellHook`], they fire on the worker thread just before a
-//!   matching cell runs: `panic_cell` panics (caught by the session's
-//!   panic boundary, so it fails *that cell*), `slow_cell` sleeps.
+//! * **cell faults** — decided when the fleet grants a matching cell's
+//!   lease, they travel with the grant and fire on whichever runner
+//!   executes it, inside the lease's panic boundary, just before the cell
+//!   runs: `panic_cell` panics (failing *that cell*), `slow_cell` sleeps.
 //! * **connection faults** — consulted by the HTTP front end before a
 //!   connection is served: `drop_conn` closes the socket without a
 //!   response, `garble_conn` writes bytes that are not HTTP.
-//!
 //! * **lease faults** — consulted by the fleet at grant time:
 //!   `lose_lease` dooms a matching cell's lease on grant — the cell is
 //!   re-queued immediately and the lease is never entered in the table,
@@ -35,18 +34,29 @@
 //! lose_lease:<index>[:<count>]
 //! ```
 
+use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
-/// What to do to a matching cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// What to do to a matching cell. Part of the lease wire format.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum CellFault {
-    /// Panic on the worker thread (the session converts it into the
-    /// cell's `Err` with the message preserved).
+    /// Panic on the executing thread (the lease's panic boundary turns it
+    /// into the cell's `Err` with the message preserved).
     Panic,
-    /// Sleep for the given duration before running the cell.
-    Slow(Duration),
+    /// Sleep this many milliseconds before running the cell.
+    SlowMs(u64),
+}
+
+impl CellFault {
+    /// Injects the fault into cell `index` on the calling thread. Call
+    /// inside a panic boundary.
+    pub fn fire(self, index: usize) {
+        match self {
+            CellFault::Panic => panic!("injected fault: panic_cell {index}"),
+            CellFault::SlowMs(millis) => std::thread::sleep(Duration::from_millis(millis)),
+        }
+    }
 }
 
 /// What to do to a matching connection.
@@ -115,7 +125,7 @@ impl FaultPlan {
                     let fault = if kind == "panic_cell" {
                         CellFault::Panic
                     } else {
-                        CellFault::Slow(Duration::from_millis(num("millis")? as u64))
+                        CellFault::SlowMs(num("millis")? as u64)
                     };
                     let budget = parts.next().map_or(Ok(1), |raw| {
                         raw.parse()
@@ -181,26 +191,14 @@ impl FaultPlan {
         self.cells.is_empty() && self.conns.is_empty() && self.leases.is_empty()
     }
 
-    /// Whether any cell rules exist (used to decide whether a session
-    /// needs a hook installed).
-    pub fn has_cell_faults(&self) -> bool {
-        !self.cells.is_empty()
-    }
-
-    /// Fires the first in-budget rule matching `index` — panicking or
-    /// sleeping on the calling (worker) thread. Call inside a panic
-    /// boundary.
-    pub fn on_cell(&self, index: usize) {
-        for rule in &self.cells {
-            if rule.index == index && take_budget(&rule.budget) {
-                match rule.fault {
-                    CellFault::Panic => {
-                        panic!("injected fault: panic_cell {index}")
-                    }
-                    CellFault::Slow(pause) => std::thread::sleep(pause),
-                }
-            }
-        }
+    /// The fault for a grant of cell `index`: the first in-budget rule
+    /// matching it, consuming one budget unit. The fleet ships it with
+    /// the lease; the executor fires it ([`CellFault::fire`]).
+    pub fn on_cell(&self, index: usize) -> Option<CellFault> {
+        self.cells
+            .iter()
+            .find(|rule| rule.index == index && take_budget(&rule.budget))
+            .map(|rule| rule.fault)
     }
 
     /// Whether an in-budget `lose_lease` rule matches a grant of cell
@@ -219,12 +217,6 @@ impl FaultPlan {
             .iter()
             .find(|rule| take_budget(&rule.budget))
             .map(|rule| rule.fault)
-    }
-
-    /// The plan as a session cell hook.
-    pub fn cell_hook(self: &Arc<Self>) -> cdcs_sim::CellHook {
-        let plan = Arc::clone(self);
-        Arc::new(move |index| plan.on_cell(index))
     }
 }
 
@@ -247,10 +239,7 @@ mod tests {
         assert_eq!(plan.cells[0].index, 3);
         assert_eq!(plan.cells[0].fault, CellFault::Panic);
         assert_eq!(plan.cells[0].budget.load(Ordering::SeqCst), 1);
-        assert_eq!(
-            plan.cells[1].fault,
-            CellFault::Slow(Duration::from_millis(250))
-        );
+        assert_eq!(plan.cells[1].fault, CellFault::SlowMs(250));
         assert_eq!(plan.cells[1].budget.load(Ordering::SeqCst), 2);
         assert_eq!(plan.conns.len(), 2);
         assert_eq!(plan.conns[0].fault, ConnFault::Drop);
@@ -300,22 +289,26 @@ mod tests {
 
     #[test]
     fn cell_panic_fires_once_with_the_injection_message() {
-        let plan = Arc::new(FaultPlan::parse("panic_cell:3").unwrap());
-        plan.on_cell(2); // no match, no fire
-        let hook = plan.cell_hook();
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| hook(3)))
-            .expect_err("injected panic");
+        let plan = FaultPlan::parse("panic_cell:3").unwrap();
+        assert_eq!(plan.on_cell(2), None, "no match, no fault");
+        let fault = plan.on_cell(3).expect("matching grant gets the fault");
+        let err = std::panic::catch_unwind(|| fault.fire(3)).expect_err("injected panic");
         let msg = err.downcast_ref::<String>().expect("string payload");
         assert_eq!(msg, "injected fault: panic_cell 3");
-        plan.on_cell(3); // budget spent: a second hit is clean
+        assert_eq!(
+            plan.on_cell(3),
+            None,
+            "budget spent: a second grant is clean"
+        );
     }
 
     #[test]
     fn slow_cell_sleeps_without_failing() {
         let plan = FaultPlan::parse("slow_cell:0:1").unwrap();
+        let fault = plan.on_cell(0).expect("matching grant gets the fault");
         let before = std::time::Instant::now();
-        plan.on_cell(0);
+        fault.fire(0);
         assert!(before.elapsed() >= Duration::from_millis(1));
-        plan.on_cell(0); // budget spent: no second sleep
+        assert_eq!(plan.on_cell(0), None, "budget spent: no second sleep");
     }
 }

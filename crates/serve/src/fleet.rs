@@ -1,15 +1,16 @@
 //! Fleet coordination: runners, leases, and blocking polls.
 //!
-//! The daemon's scheduler already claims cells one at a time from job
-//! sessions — this module turns that claim point into a *worker
-//! protocol*. A [`Fleet`] tracks registered runners, grants each poll one
-//! leased [`WorkUnit`] claimed from the scheduler rotation (the same
-//! fairness step a local pool worker takes), and revokes leases whose
-//! heartbeats stop — re-queueing the unit through the session seam so a
-//! dead runner costs only its in-flight cells. Results flow back through
-//! [`Fleet::result`], which is exactly-once by construction: the lease
-//! table is consulted and cleared under the fleet's single mutex, so a
-//! revoked lease's late result is detectably stale and dropped.
+//! The daemon's scheduler claims cells one at a time from job sessions —
+//! this module turns that claim point into a *worker protocol*, the
+//! daemon's one execution path. A [`Fleet`] tracks registered runners
+//! (remote `cdcs-runner`s over HTTP, and the daemon's own `--workers`
+//! calling in process), grants each poll one leased [`WorkUnit`] claimed
+//! from the scheduler rotation, and revokes leases whose heartbeats stop —
+//! re-queueing the unit through the session seam so a dead runner costs
+//! only its in-flight cells. Results flow back through [`Fleet::result`],
+//! which is exactly-once by construction: the lease table is consulted
+//! and cleared under the fleet's single mutex, so a revoked lease's late
+//! result is detectably stale and dropped.
 //!
 //! Placement: each unit goes to whichever runner polls first. A poll that
 //! finds nothing to claim *blocks* (up to its `wait_ms`, capped below the
@@ -18,8 +19,9 @@
 //! retries the claim the moment a job arrives or a unit re-queues. There
 //! is no affinity routing: a cell is a pure function of `(config, cell)`
 //! and a runner keeps no state keyed by unit, so steering a unit to one
-//! "owner" would only queue it behind that owner. A runner silent past
-//! its TTL is expired and its leases are re-queued wholesale.
+//! "owner" would only queue it behind that owner. A runner silent (no
+//! poll, heartbeat or result) past its TTL is expired and its leases are
+//! re-queued wholesale.
 //!
 //! None of this can change report bytes: every cell's result derives
 //! from `(config, cell)` alone, so *where* a unit runs — and how many
@@ -46,9 +48,9 @@ use std::time::{Duration, Instant};
 pub struct FleetConfig {
     /// Heartbeat window: a lease unbeaten for this long is revoked.
     pub lease_ttl: Duration,
-    /// Liveness window: a runner silent (no poll/beat/result) for this
-    /// long is deregistered and its work re-queued. A blocking poll waits
-    /// at most half of it.
+    /// Liveness window: a runner silent (no poll, heartbeat or result)
+    /// for this long is deregistered and its work re-queued. A blocking
+    /// poll waits at most half of it.
     pub runner_ttl: Duration,
 }
 
@@ -102,7 +104,7 @@ impl Deferred {
             sched.reenqueue(Arc::clone(&job));
         }
         for job in self.finalize {
-            run_contained(&job, None);
+            run_contained(&job);
         }
     }
 }
@@ -167,8 +169,8 @@ impl Fleet {
     /// up to `wait` (capped at half the runner TTL, so the waiting runner
     /// never expires mid-poll) for new or re-queued work, retrying the
     /// claim each time the scheduler signals some; `Ok(None)` once the
-    /// wait runs out or the pool stops. `Err` means the runner is unknown
-    /// (expired or never registered); it must re-register.
+    /// wait runs out or the scheduler stops. `Err` means the runner is
+    /// unknown (expired or never registered); it must re-register.
     pub fn poll(
         &self,
         runner: u64,
@@ -214,10 +216,11 @@ impl Fleet {
         Ok((grant, generation))
     }
 
-    /// Builds the lease grant for one unit. An injected `lose_lease`
-    /// fault dooms the grant: the unit is re-queued immediately and the
-    /// lease never enters the table, so the runner's heartbeats and
-    /// result land stale — the full revocation path, deterministically.
+    /// Builds the lease grant for one unit, with any injected cell fault.
+    /// An injected `lose_lease` fault dooms the grant: the unit is
+    /// re-queued immediately and the lease never enters the table, so the
+    /// runner's heartbeats and result land stale — the full revocation
+    /// path, deterministically.
     fn grant(
         &self,
         state: &mut FleetState,
@@ -242,6 +245,7 @@ impl Fleet {
             LeasePayload::Cell(config, cell) => {
                 if let WorkUnit::Cell(i) = unit {
                     grant.cell_index = Some(i);
+                    grant.fault = self.faults.on_cell(i);
                 }
                 grant.config = Some(config);
                 grant.cell = Some(*cell);
@@ -251,11 +255,16 @@ impl Fleet {
         grant
     }
 
-    /// Records a heartbeat. `false` means the lease is gone (revoked or
-    /// completed): the runner should abandon the work.
+    /// Records a heartbeat, which also keeps its runner alive. `false`
+    /// means the lease is gone (revoked or completed): the runner should
+    /// abandon the work.
     pub fn heartbeat(&self, lease_id: u64) -> bool {
         let mut state = self.lock_fleet();
-        state.leases.beat(lease_id)
+        let Some(runner) = state.leases.beat(lease_id) else {
+            return false;
+        };
+        touch(&mut state, runner);
+        true
     }
 
     /// Accepts a lease's result. `false` means the lease was already
@@ -293,7 +302,7 @@ impl Fleet {
                 lease.job.deliver_inline(outcome);
             }
         }
-        run_contained(&lease.job, None);
+        run_contained(&lease.job);
         true
     }
 
@@ -320,6 +329,11 @@ impl Fleet {
             }
         }
         deferred.apply(sched);
+    }
+
+    /// Every lease held longer than `limit`, as `(job, unit, age)`.
+    pub fn overdue(&self, limit: Duration) -> Vec<(Arc<Job>, WorkUnit, Duration)> {
+        self.lock_fleet().leases.older_than(limit)
     }
 
     /// Fleet-wide observability counters.

@@ -207,9 +207,11 @@ pub fn write_response(
         head.push_str("\r\n");
     }
     head.push_str("\r\n");
+    // One write, so a peer that reads once never sees the head alone.
+    let mut message = head.into_bytes();
+    message.extend_from_slice(body);
     stream
-        .write_all(head.as_bytes())
-        .and_then(|()| stream.write_all(body))
+        .write_all(&message)
         .and_then(|()| stream.flush())
         .map_err(|e| format!("writing response: {e}"))
 }
@@ -263,9 +265,10 @@ pub fn request(
         head.push_str("\r\n");
     }
     head.push_str("\r\n");
+    // One write for head and body (see `write_response`).
+    head.push_str(payload);
     stream
         .write_all(head.as_bytes())
-        .and_then(|()| stream.write_all(payload.as_bytes()))
         .map_err(|e| format!("sending request: {e}"))?;
 
     let mut raw = String::new();

@@ -1,7 +1,7 @@
 //! One submitted experiment job: a spec bound to its streaming session.
 //!
 //! Grid specs expand once at submission ([`GridSpec::expand`]) into a
-//! [`GridSession`] the shared pool drives cell-by-cell; analysis specs
+//! [`GridSession`] the fleet leases out cell by cell; analysis specs
 //! (miss curves, latency/capacity, planner runtimes, placement ablation)
 //! are a single unit of work. Either way the finished job stores its
 //! [`ExperimentReport`] pre-serialized with `serde_json::to_string_pretty`
@@ -12,19 +12,18 @@
 //! Every failure a job can suffer is *contained*: a panicking cell (or a
 //! panicking analysis run, or an injected fault) fails this job with the
 //! captured message; a passed deadline moves it to `DeadlineExceeded`;
-//! neither takes down a worker, the daemon, or any other tenant's jobs.
+//! neither takes down a runner, the daemon, or any other tenant's jobs.
 //!
 //! Every phase change goes through one helper that also signals a condvar,
 //! so a status long-poll ([`Job::wait_terminal`]) returns the moment the
 //! job finishes instead of on the client's next poll.
 
-use crate::faults::FaultPlan;
 use crate::protocol::{JobState, JobStatus};
 use cdcs_bench::exp::{ExperimentReport, ExperimentSpec, GridAssembly, ReportData, SpecKind};
 use cdcs_sim::session::clamp_intra_cell;
 use cdcs_sim::{GridSession, SessionOptions, SimResult};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Internal lifecycle (the wire state plus the finished payloads).
@@ -47,7 +46,7 @@ impl Phase {
     }
 }
 
-/// Per-job submission options (tenant, deadline, fault plan).
+/// Per-job submission options (tenant, deadline).
 #[derive(Default, Clone)]
 pub struct JobOptions {
     /// The submitting tenant (for status observability; admission already
@@ -56,29 +55,26 @@ pub struct JobOptions {
     /// Wall-clock deadline: enforced at claim time through the session
     /// and between claims by the server's watchdog.
     pub deadline: Option<Instant>,
-    /// Fault-injection plan to install as the session's cell hook.
-    pub faults: Option<Arc<FaultPlan>>,
 }
 
 /// The job's executable payload.
 enum Work {
-    /// A simulator sweep: cells stream through a session on the shared
-    /// pool; the assembly half waits for the results.
+    /// A simulator sweep: cells stream through a session, one lease each;
+    /// the assembly half waits for the results.
     Grid {
         session: GridSession,
         assembly: Mutex<Option<GridAssembly>>,
     },
-    /// An analysis spec: one opaque unit of work, run inline by whichever
-    /// worker claims it.
+    /// An analysis spec: one opaque unit of work, run whole by whichever
+    /// runner leases it.
     Inline {
         claimed: AtomicBool,
         cancelled: AtomicBool,
     },
 }
 
-/// One unit of claimed work, to be executed by a pool worker or leased to
-/// a fleet runner. `Copy` so the lease table can hold a unit and hand
-/// copies to the requeue path.
+/// One unit of claimed work, leased to a runner. `Copy` so the lease
+/// table can hold a unit and hand copies to the requeue path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkUnit {
     /// Run grid cell `i` of the job's session.
@@ -87,12 +83,12 @@ pub enum WorkUnit {
     Inline,
 }
 
-/// What a fleet lease ships to a remote runner: either one grid cell with
-/// the session's (pool-clamped) config, or the whole analysis spec.
+/// What a fleet lease ships to a runner: either one grid cell with the
+/// session's (pool-clamped) config, or the whole analysis spec.
 #[derive(Debug)]
 pub enum LeasePayload {
     /// `(config, cell)` — the runner calls `run_cell` on them, exactly as
-    /// a local session worker would.
+    /// an in-process session worker would.
     Cell(cdcs_sim::SimConfig, Box<cdcs_sim::runner::GridCell>),
     /// The full spec — the runner calls `spec.run()` and pretty-prints the
     /// report (byte-equal by the spec serialization fixpoint).
@@ -113,27 +109,27 @@ pub struct Job {
     phase: Mutex<Phase>,
     /// Signalled on every `phase` write (paired with the `phase` mutex).
     phase_changed: Condvar,
-    /// Cells currently executing: `(cell index, start time)` — the
-    /// watchdog's view for per-cell wall-clock enforcement.
-    running_cells: Mutex<Vec<(usize, Instant)>>,
 }
 
 impl Job {
     /// Builds a job for `spec`, expanding grid specs eagerly so malformed
-    /// submissions fail at `POST /jobs` time. `pool_workers` feeds the
-    /// intra-cell nested clamp ([`clamp_intra_cell`]): `pool × inner`
-    /// never exceeds the machine, exactly as in `run_grid`.
+    /// submissions fail at `POST /jobs` time. `workers` (the daemon's
+    /// in-process runners) feeds the intra-cell nested clamp
+    /// ([`clamp_intra_cell`]): `workers × inner` never exceeds the
+    /// machine, exactly as in `run_grid`.
     ///
     /// # Errors
     ///
     /// Propagates spec-expansion errors (empty axes, unknown apps, ...),
-    /// and refuses any grid spec whose patches set `trace_record`: a served
-    /// spec must not write files on the daemon's or a runner's host.
-    /// Recording stays a library feature.
+    /// and refuses any grid spec whose patches set `trace_record`, or set
+    /// a `trace_replay` other than a committed fixture
+    /// (`specs/traces/<name>/index.json`): a served spec must neither
+    /// write files on the daemon's or a runner's host nor read arbitrary
+    /// ones. Recording and replaying other paths stay library features.
     pub fn new(
         id: u64,
         spec: ExperimentSpec,
-        pool_workers: usize,
+        workers: usize,
         options: JobOptions,
     ) -> Result<Job, String> {
         let tenant = if options.tenant.is_empty() {
@@ -150,15 +146,21 @@ impl Job {
                 {
                     return Err("trace_record is not accepted in served specs".into());
                 }
+                if let Some(path) = grid
+                    .patches
+                    .iter()
+                    .filter_map(|p| p.trace_replay.as_deref())
+                    .find(|path| !path.is_empty() && !is_committed_trace(path))
+                {
+                    return Err(format!(
+                        "trace_replay {path:?} is not accepted in served specs: \
+                         only committed fixtures (specs/traces/<name>/index.json)"
+                    ));
+                }
                 let (config, cells, assembly) = grid.expand()?.into_parts();
-                let config = clamp_intra_cell(&config, pool_workers);
+                let config = clamp_intra_cell(&config, workers);
                 let session_options = SessionOptions {
                     deadline: options.deadline,
-                    cell_hook: options
-                        .faults
-                        .as_ref()
-                        .filter(|plan| plan.has_cell_faults())
-                        .map(FaultPlan::cell_hook),
                 };
                 Work::Grid {
                     session: GridSession::queued_with(&config, cells, session_options),
@@ -178,11 +180,10 @@ impl Job {
             work,
             phase: Mutex::new(Phase::Queued),
             phase_changed: Condvar::new(),
-            running_cells: Mutex::new(Vec::new()),
         })
     }
 
-    /// Claims the job's next unit of work for the calling worker, or
+    /// Claims the job's next unit of work for a polling runner, or
     /// `None` when the job has nothing left to issue (drained, cancelled,
     /// past its deadline, or — for analysis jobs — already claimed).
     pub fn try_claim(&self) -> Option<WorkUnit> {
@@ -208,46 +209,14 @@ impl Job {
         unit
     }
 
-    /// Executes a claimed unit on the calling thread. Panics inside the
-    /// unit are contained: a grid cell's unwind is caught by the session
-    /// (failing that cell); an analysis spec's unwind is caught here
-    /// (failing this job). Neither propagates to the worker.
-    pub fn run(&self, unit: WorkUnit) {
-        match (&self.work, unit) {
-            (Work::Grid { session, .. }, WorkUnit::Cell(i)) => {
-                self.lock_running().push((i, Instant::now()));
-                session.run_claimed(i);
-                self.lock_running().retain(|(cell, _)| *cell != i);
-            }
-            (Work::Inline { .. }, WorkUnit::Inline) => {
-                self.lock_running().push((0, Instant::now()));
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    self.spec.run().and_then(|report| {
-                        serde_json::to_string_pretty(&report)
-                            .map_err(|e| format!("serializing report: {e}"))
-                    })
-                }))
-                .unwrap_or_else(|payload| {
-                    Err(format!("job panicked: {}", panic_message(payload.as_ref())))
-                });
-                self.lock_running().retain(|(cell, _)| *cell != 0);
-                self.finish(match outcome {
-                    Ok(report_json) => Phase::Done { report_json },
-                    Err(error) => Phase::Failed { error },
-                });
-            }
-            _ => unreachable!("work unit claimed from this job"),
-        }
-    }
-
     /// Finalizes the job if every issued cell has completed and no more
     /// will be issued: drains the session's stream, assembles the report
     /// (or records the failure / cancellation / expiry). Idempotent and
-    /// safe to call from any worker after any unit completes.
+    /// safe to call from any thread after any unit completes.
     pub fn try_finalize(&self) {
         let Work::Grid { session, assembly } = &self.work else {
-            // Inline jobs finalize in `run`; the loose ends are a job
-            // cancelled or expired before any worker claimed it.
+            // Inline jobs finalize on delivery; the loose ends are a job
+            // cancelled or expired before any runner claimed it.
             if let Work::Inline { claimed, cancelled } = &self.work {
                 let expired = self.deadline.is_some_and(|d| Instant::now() >= d);
                 if (cancelled.load(Ordering::SeqCst) || expired) && !claimed.load(Ordering::SeqCst)
@@ -316,7 +285,7 @@ impl Job {
         self.set_phase(&mut phase, done);
     }
 
-    /// The wire payload for leasing `unit` to a remote runner.
+    /// The payload for leasing `unit` to a runner.
     pub fn lease_payload(&self, unit: WorkUnit) -> LeasePayload {
         match (&self.work, unit) {
             (Work::Grid { session, .. }, WorkUnit::Cell(i)) => LeasePayload::Cell(
@@ -343,15 +312,15 @@ impl Job {
         }
     }
 
-    /// Delivers a remotely-computed cell result into the job's session —
-    /// determinism makes this indistinguishable from local execution.
+    /// Delivers a leased cell's result into the job's session —
+    /// determinism makes it independent of which runner computed it.
     pub fn deliver_cell(&self, index: usize, result: Result<SimResult, String>) {
         if let Work::Grid { session, .. } = &self.work {
             session.deliver(index, result);
         }
     }
 
-    /// Delivers a remotely-computed analysis outcome: the report's pretty
+    /// Delivers a leased analysis outcome: the report's pretty
     /// JSON on success, the error otherwise. No-op if already terminal
     /// (a late result after cancellation is simply dropped).
     pub fn deliver_inline(&self, outcome: Result<String, String>) {
@@ -382,9 +351,9 @@ impl Job {
     }
 
     /// Forces the job into `Failed` with `error` (unless already
-    /// terminal) and stops issuing work: the scheduler's last-resort
-    /// containment when something outside the per-cell panic boundary
-    /// unwinds, and the watchdog's verdict for stuck cells.
+    /// terminal) and stops issuing work: the last-resort containment
+    /// when finalization unwinds, and the watchdog's verdict for stuck
+    /// cells.
     pub fn fail_with(&self, error: String) {
         self.cancel();
         self.finish(Phase::Failed { error });
@@ -398,14 +367,6 @@ impl Job {
             .phase_changed
             .wait_timeout_while(phase, timeout, |phase| !phase.is_terminal())
             .unwrap_or_else(PoisonError::into_inner);
-    }
-
-    /// The longest-running in-flight cell, as `(index, elapsed)`.
-    pub fn longest_running_cell(&self) -> Option<(usize, Duration)> {
-        self.lock_running()
-            .iter()
-            .map(|&(index, start)| (index, start.elapsed()))
-            .max_by_key(|&(_, elapsed)| elapsed)
     }
 
     /// The job's current wire status.
@@ -471,19 +432,21 @@ impl Job {
         }
     }
 
-    // Poison tolerance: phase/running-cell updates are straight-line
-    // (no user code runs under these locks), so a poisoned guard's data
-    // is intact; recovering keeps one panicked thread from wedging
-    // status, cancellation, and shutdown for everyone else.
+    // Poison tolerance: phase updates are straight-line (no user code
+    // runs under this lock), so a poisoned guard's data is intact;
+    // recovering keeps one panicked thread from wedging status,
+    // cancellation, and shutdown for everyone else.
     fn lock_phase(&self) -> MutexGuard<'_, Phase> {
         self.phase.lock().unwrap_or_else(PoisonError::into_inner)
     }
+}
 
-    fn lock_running(&self) -> MutexGuard<'_, Vec<(usize, Instant)>> {
-        self.running_cells
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
+/// Whether `path` names a committed trace fixture: exactly
+/// `specs/traces/<name>/index.json`, `<name>` one plain path component.
+fn is_committed_trace(path: &str) -> bool {
+    path.strip_prefix("specs/traces/")
+        .and_then(|rest| rest.strip_suffix("/index.json"))
+        .is_some_and(|name| !matches!(name, "" | "." | "..") && !name.contains('/'))
 }
 
 /// Extracts a human-readable message from a panic payload.

@@ -1,9 +1,10 @@
 //! Lease bookkeeping for the runner fleet.
 //!
 //! A lease is the fleet's unit of at-most-once-in-flight accounting: one
-//! claimed [`WorkUnit`] handed to one runner, alive only while heartbeats
-//! keep landing. The table is a plain struct — **no interior locking** —
-//! because it lives inside the fleet's single mutex ([`crate::fleet`]);
+//! claimed [`WorkUnit`] handed to one runner, local or remote, alive only
+//! while heartbeats keep landing. The table is a plain struct — **no
+//! interior locking** — because it lives inside the fleet's single mutex
+//! ([`crate::fleet`]);
 //! that one lock is what makes grant / heartbeat / result / revocation
 //! mutually exclusive, which is the whole exactly-once argument: a result
 //! POST only counts if `complete` still finds the lease, and revocation
@@ -25,6 +26,8 @@ pub struct Lease {
     pub job: Arc<Job>,
     /// The leased unit.
     pub unit: WorkUnit,
+    /// When the lease was granted (the per-cell watchdog's clock).
+    pub granted: Instant,
     /// Last heartbeat (grant counts as one).
     pub last_beat: Instant,
 }
@@ -46,32 +49,31 @@ impl LeaseTable {
     pub fn grant(&mut self, runner: u64, job: Arc<Job>, unit: WorkUnit) -> u64 {
         self.next_id += 1;
         let id = self.next_id;
+        // lint: allow(determinism) — lease liveness is wall-clock
+        // bookkeeping; no SimResult byte depends on it.
+        let now = Instant::now();
         self.leases.insert(
             id,
             Lease {
                 runner,
                 job,
                 unit,
-                // lint: allow(determinism) — lease liveness is wall-clock
-                // bookkeeping; no SimResult byte depends on it.
-                last_beat: Instant::now(),
+                granted: now,
+                last_beat: now,
             },
         );
         id
     }
 
-    /// Records a heartbeat. `false` means the lease no longer exists
-    /// (revoked or completed) — the runner should abandon the work.
-    pub fn beat(&mut self, lease_id: u64) -> bool {
-        match self.leases.get_mut(&lease_id) {
-            Some(lease) => {
-                // lint: allow(determinism) — heartbeat timestamps only
-                // gate revocation, never results.
-                lease.last_beat = Instant::now();
-                true
-            }
-            None => false,
-        }
+    /// Records a heartbeat and returns the runner holding the lease.
+    /// `None` means the lease no longer exists (revoked or completed) —
+    /// the runner should abandon the work.
+    pub fn beat(&mut self, lease_id: u64) -> Option<u64> {
+        let lease = self.leases.get_mut(&lease_id)?;
+        // lint: allow(determinism) — heartbeat timestamps only gate
+        // revocation, never results.
+        lease.last_beat = Instant::now();
+        Some(lease.runner)
     }
 
     /// Removes and returns a lease on result delivery. `None` means the
@@ -107,6 +109,16 @@ impl LeaseTable {
             .collect();
         held.into_iter()
             .filter_map(|id| self.leases.remove(&id))
+            .collect()
+    }
+
+    /// Every lease granted more than `limit` ago, as `(job, unit, age)`.
+    pub fn older_than(&self, limit: Duration) -> Vec<(Arc<Job>, WorkUnit, Duration)> {
+        self.leases
+            .values()
+            .map(|lease| (lease, lease.granted.elapsed()))
+            .filter(|(_, age)| *age > limit)
+            .map(|(lease, age)| (Arc::clone(&lease.job), lease.unit, age))
             .collect()
     }
 

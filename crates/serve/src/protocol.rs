@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 pub enum JobState {
     /// Accepted; no cell has started yet.
     Queued,
-    /// At least one cell has been claimed by the pool.
+    /// At least one cell has been claimed by a runner.
     Running,
     /// Finished; the report is available.
     Done,
@@ -46,7 +46,7 @@ pub struct JobStatus {
     pub state: JobState,
     /// Total cells in the job's grid (1 for analysis specs).
     pub total_cells: usize,
-    /// Cells claimed by the pool so far (running or finished).
+    /// Cells claimed by runners so far (running or finished).
     pub issued_cells: usize,
     /// Cells finished so far.
     pub completed_cells: usize,
@@ -79,7 +79,7 @@ pub struct ErrorReply {
 // Fleet wire types. Every field is `#[serde(default)]` so a version-skewed
 // runner and daemon parse each other leniently (the golden-coupling lint
 // pins this); enums are avoided in favor of flat `Option` fields for the
-// same reason.
+// same reason, except a lease's injected fault, which old runners skip.
 // ---------------------------------------------------------------------------
 
 /// Body of `POST /fleet/runners` — a runner introducing itself.
@@ -140,6 +140,9 @@ pub struct LeaseGrant {
     /// The full spec, for analysis (inline) leases.
     #[serde(default)]
     pub spec: Option<cdcs_bench::exp::ExperimentSpec>,
+    /// An injected fault the runner fires just before the cell runs.
+    #[serde(default)]
+    pub fault: Option<crate::faults::CellFault>,
 }
 
 /// Body of `POST /fleet/leases/<id>/result`. Exactly one field is
@@ -243,6 +246,7 @@ mod tests {
             config: None,
             cell: None,
             spec: None,
+            fault: Some(crate::faults::CellFault::SlowMs(5)),
         };
         let reply = PollReply {
             lease: Some(grant.clone()),

@@ -1,37 +1,34 @@
-//! Fair scheduling of concurrent jobs over one shared worker pool.
+//! Fair scheduling of concurrent jobs: the claim point every runner
+//! polls.
 //!
-//! Jobs sit in a FIFO rotation. A worker pops the front job, claims **one**
-//! unit of work from it under the scheduler lock, pushes the job to the
-//! back, and executes the unit outside the lock. With several active jobs
-//! the claim sequence therefore strictly interleaves them — two concurrent
-//! sweeps each make progress on every rotation lap, regardless of their
-//! sizes (no starvation; the fairness test pins the alternation). A job
-//! whose claim comes back empty (drained or cancelled) leaves the rotation
-//! and is finalized.
+//! Jobs sit in a FIFO rotation. A claim ([`Scheduler::try_claim_unit`])
+//! pops the front job, takes **one** unit of work from it under the
+//! scheduler lock, and pushes the job to the back; the unit is then
+//! leased to the polling runner ([`crate::fleet`]) and executed outside
+//! the lock. With several active jobs the claim sequence therefore
+//! strictly interleaves them — two concurrent sweeps each make progress
+//! on every rotation lap, regardless of their sizes (no starvation; the
+//! fairness test pins the alternation). A job whose claim comes back
+//! empty (drained or cancelled) leaves the rotation and is finalized.
 //!
 //! Claims are recorded in a log (job ids, in claim order) so fairness is
 //! observable and testable without timing assumptions.
 //!
-//! Fleet polls claim through the same rotation ([`Scheduler::try_claim_unit`])
-//! and, when it comes back empty, block in [`Scheduler::wait_for_work`] on a
-//! work *generation* that every [`Scheduler::enqueue`] and
-//! [`Scheduler::reenqueue`] bumps — so a waiting runner wakes the moment a
-//! job arrives or a revoked cell re-queues, never a poll interval later.
+//! A poll whose claim comes back empty blocks in
+//! [`Scheduler::wait_for_work`] on a work *generation* that every
+//! [`Scheduler::enqueue`] and [`Scheduler::reenqueue`] bumps — so a
+//! waiting runner wakes the moment a job arrives or a revoked cell
+//! re-queues, never a poll interval later. [`Scheduler::stop`] ends all
+//! claiming and wakes every waiting poll at once.
 //!
-//! Workers are expendable-proof: the whole execute/finalize step runs
-//! inside `catch_unwind`, so an unwind that escapes the per-cell panic
-//! boundary fails *that job* (with the captured message) and the worker
-//! returns to the rotation — a poisoned job can never shrink the pool or
-//! take the daemon down. Shutdown comes in two flavors: [`Scheduler::stop`]
-//! (running cells finish, queued work is abandoned) and
-//! [`Scheduler::drain`] (workers keep claiming until every queued cell has
-//! run, then exit).
+//! Finalization is panic-contained: [`run_contained`] converts an unwind
+//! that escapes a job's own boundaries into *that job's* failure, so a
+//! poisoned job can never take a runner or the daemon down.
 
 use crate::job::{panic_message, Job, WorkUnit};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 #[derive(Default)]
@@ -53,22 +50,11 @@ pub(crate) struct ClaimOutcome {
     pub generation: u64,
 }
 
-/// The shared scheduler: rotation + pool wake-up.
+/// The shared scheduler: rotation + poll wake-up.
 pub struct Scheduler {
     rotation: Mutex<Rotation>,
     cv: Condvar,
     shutdown: AtomicBool,
-    draining: AtomicBool,
-}
-
-/// What a worker got from one rotation pop.
-enum Pop {
-    /// Pool is shutting down.
-    Shutdown,
-    /// A claimed unit of `job`'s work (job already re-queued).
-    Task(Arc<Job>, WorkUnit),
-    /// `job` had nothing to claim and left the rotation.
-    Drained(Arc<Job>),
 }
 
 impl Scheduler {
@@ -78,11 +64,10 @@ impl Scheduler {
             rotation: Mutex::new(Rotation::default()),
             cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            draining: AtomicBool::new(false),
         }
     }
 
-    /// Adds a job to the rotation and wakes the pool and blocked polls.
+    /// Adds a job to the rotation and wakes blocked polls.
     pub fn enqueue(&self, job: Arc<Job>) {
         let mut rotation = self.lock();
         rotation.queue.push_back(job);
@@ -90,18 +75,10 @@ impl Scheduler {
         self.cv.notify_all();
     }
 
-    /// Stops the pool: blocked workers wake and exit; running cells finish;
-    /// queued cells are abandoned.
+    /// Stops claiming: blocked polls wake and come back empty; running
+    /// cells finish; queued cells are abandoned.
     pub fn stop(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        let _rotation = self.lock();
-        self.cv.notify_all();
-    }
-
-    /// Drains the pool: workers keep claiming until the rotation is empty
-    /// (every queued cell of every job has run), then exit.
-    pub fn drain(&self) {
-        self.draining.store(true, Ordering::SeqCst);
         let _rotation = self.lock();
         self.cv.notify_all();
     }
@@ -111,13 +88,11 @@ impl Scheduler {
         self.lock().claim_log.clone()
     }
 
-    /// Non-blocking single-unit claim for the fleet lease path: scans the
+    /// Non-blocking single-unit claim for a fleet poll: scans the
     /// rotation once (at most one full lap), claiming one unit from the
-    /// first job that has work — exactly the fairness step a pool worker
-    /// takes, so fleet leases and local workers interleave jobs
-    /// identically. Jobs whose claim comes back empty leave the rotation
-    /// and are returned as `drained` for the caller to finalize *outside*
-    /// its own locks.
+    /// first job that has work (see the module docs). Jobs whose claim
+    /// comes back empty leave the rotation and are returned as `drained`
+    /// for the caller to finalize *outside* its own locks.
     pub(crate) fn try_claim_unit(&self) -> ClaimOutcome {
         let mut rotation = self.lock();
         let mut outcome = ClaimOutcome {
@@ -146,7 +121,7 @@ impl Scheduler {
     }
 
     /// Blocks until the work generation moves past `seen` (a job arrived
-    /// or a unit re-queued since that claim scan), the pool stops, or
+    /// or a unit re-queued since that claim scan), the scheduler stops, or
     /// `timeout` passes. Returns whether another claim is worth trying.
     /// Reading `seen` under the same lock as the empty scan is what makes
     /// the wake-up race-free.
@@ -162,7 +137,7 @@ impl Scheduler {
     }
 
     /// Returns a job to the rotation after a revoked lease re-queued some
-    /// of its work, and wakes the pool and blocked polls. A job already
+    /// of its work, and wakes blocked polls. A job already
     /// rotating keeps its one slot (two slots would double-count it in
     /// fairness), but the wake-up still fires: its re-queued unit is new
     /// claimable work.
@@ -175,76 +150,20 @@ impl Scheduler {
         self.cv.notify_all();
     }
 
-    /// Starts `workers` pool threads driving this scheduler.
-    pub fn start_pool(self: &Arc<Self>, workers: usize) -> Vec<JoinHandle<()>> {
-        (0..workers.max(1))
-            .map(|_| {
-                let sched = Arc::clone(self);
-                std::thread::spawn(move || sched.worker_loop())
-            })
-            .collect()
-    }
-
-    fn worker_loop(&self) {
-        loop {
-            match self.pop() {
-                Pop::Shutdown => return,
-                Pop::Drained(job) => run_contained(&job, None),
-                Pop::Task(job, unit) => run_contained(&job, Some(unit)),
-            }
-        }
-    }
-
-    /// Pops one job and claims one unit from it (see module docs). Blocks
-    /// while the rotation is empty (unless draining or shut down).
-    fn pop(&self) -> Pop {
-        let mut rotation = self.lock();
-        loop {
-            if self.shutdown.load(Ordering::SeqCst) {
-                return Pop::Shutdown;
-            }
-            if let Some(job) = rotation.queue.pop_front() {
-                return match job.try_claim() {
-                    Some(unit) => {
-                        rotation.claim_log.push(job.id);
-                        rotation.queue.push_back(Arc::clone(&job));
-                        Pop::Task(job, unit)
-                    }
-                    None => Pop::Drained(job),
-                };
-            }
-            if self.draining.load(Ordering::SeqCst) {
-                // Draining and the rotation is empty: every queued cell
-                // has been claimed (in-flight ones finish on their own
-                // workers). Done.
-                return Pop::Shutdown;
-            }
-            rotation = self
-                .cv
-                .wait(rotation)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
     // The rotation holds only queue order and the claim log — both
     // updated in straight-line code — so a poisoned guard's data is
-    // intact and recovering it beats wedging every worker.
+    // intact and recovering it beats wedging every runner.
     fn lock(&self) -> std::sync::MutexGuard<'_, Rotation> {
         self.rotation.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
-/// Runs one claimed unit (or just finalization) with last-resort panic
-/// containment: an unwind is converted into the job's failure instead of
-/// the worker's death. `pub(crate)` because the fleet's result/revocation
-/// paths finalize jobs through the same boundary.
-pub(crate) fn run_contained(job: &Arc<Job>, unit: Option<WorkUnit>) {
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        if let Some(unit) = unit {
-            job.run(unit);
-        }
-        job.try_finalize();
-    }));
+/// Finalizes `job` if it is ready ([`Job::try_finalize`]) with
+/// last-resort panic containment: an unwind is converted into the job's
+/// failure instead of the calling runner's death. The fleet's result,
+/// revocation and drained-job paths all finalize through it.
+pub(crate) fn run_contained(job: &Arc<Job>) {
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job.try_finalize()));
     if let Err(payload) = outcome {
         job.fail_with(format!(
             "internal error executing job {}: {}",

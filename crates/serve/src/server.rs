@@ -1,4 +1,6 @@
-//! The experiment daemon: HTTP front end over the shared-pool scheduler.
+//! The experiment daemon: HTTP front end over the scheduler and the fleet.
+//! Its `--workers N` threads are in-process runners (`local-0`, …) on the
+//! same lease path ([`crate::fleet`]) the `cdcs-runner` routes below use.
 //!
 //! Routes (all JSON, `Connection: close`):
 //!
@@ -46,13 +48,16 @@
 //! deterministically for the e2e suite and the CI smoke job.
 
 use crate::admission::{Admission, TenantLimit, DEFAULT_TENANT};
+use crate::client::RetryPolicy;
 use crate::faults::{ConnFault, FaultPlan};
 use crate::fleet::{Fleet, FleetConfig};
 use crate::http::{read_request, write_response, Request, RequestError};
-use crate::job::{Job, JobOptions};
+use crate::job::{Job, JobOptions, WorkUnit};
 use crate::protocol::{
-    AckReply, ErrorReply, JobList, JobStatus, LeaseResult, PollReply, RunnerHello, SubmitReply,
+    AckReply, ErrorReply, JobList, JobStatus, LeaseGrant, LeaseResult, PollReply, RegisterReply,
+    RunnerHello, SubmitReply,
 };
+use crate::runner::{run_loop, Link, PollFailure};
 use crate::scheduler::Scheduler;
 use cdcs_bench::exp::ExperimentSpec;
 use std::io::Write;
@@ -77,15 +82,16 @@ pub const MAX_WAIT: Duration = Duration::from_secs(5);
 pub struct ServerConfig {
     /// Bind address (`host:port`; port `0` for ephemeral).
     pub addr: String,
-    /// Local worker pool size. `0` is legal and means *fleet-only*: no
-    /// local workers; every unit of work is leased to remote runners.
+    /// In-process runners (`local-0`, …) on the fleet's lease path. `0` is
+    /// legal and means *fleet-only*: every unit of work is leased to
+    /// remote runners.
     pub workers: usize,
     /// Per-tenant submission rate limit.
     pub tenant_limit: Option<TenantLimit>,
     /// Cap on queued-or-running jobs.
     pub queue_cap: Option<usize>,
-    /// Per-cell wall-clock watchdog: a cell running longer than this
-    /// fails its job (the pool slot frees once the cell returns).
+    /// Per-cell wall-clock watchdog: a lease held longer than this, local
+    /// or remote, fails its job (the runner frees once the cell returns).
     pub cell_timeout: Option<Duration>,
     /// Fault-injection plan (empty by default).
     pub faults: Arc<FaultPlan>,
@@ -94,7 +100,7 @@ pub struct ServerConfig {
 }
 
 impl ServerConfig {
-    /// Permissive defaults on `addr` with `workers` pool threads.
+    /// Permissive defaults on `addr` with `workers` in-process runners.
     pub fn new(addr: impl Into<String>, workers: usize) -> ServerConfig {
         ServerConfig {
             addr: addr.into(),
@@ -112,8 +118,8 @@ impl ServerConfig {
 /// joined cleanly, plus every job's final status.
 #[derive(Debug)]
 pub struct ShutdownReport {
-    /// Threads whose join reported a panic (0 in healthy operation — the
-    /// pool contains every unwind).
+    /// Threads whose join reported a panic (0 in healthy operation —
+    /// runners contain every unwind).
     pub panicked_threads: usize,
     /// Final status of every job the daemon accepted.
     pub jobs: Vec<JobStatus>,
@@ -125,15 +131,18 @@ struct ServerState {
     sched: Arc<Scheduler>,
     admission: Admission,
     fleet: Fleet,
-    pool_workers: usize,
+    workers: usize,
     cell_timeout: Option<Duration>,
     faults: Arc<FaultPlan>,
+    /// Set once no new job may be accepted (drain or stop).
+    draining: AtomicBool,
+    /// Set when the daemon's threads must exit.
     stopping: AtomicBool,
 }
 
-/// A running daemon: worker pool + accept loop + watchdog. Dropping (or
-/// [`JobServer::shutdown`]) stops accepting, stops the pool, and joins
-/// every thread; running cells finish first.
+/// A running daemon: in-process runners + accept loop + watchdog.
+/// Dropping (or [`JobServer::shutdown`]) stops accepting, stops claiming,
+/// and joins every thread; running cells finish first.
 pub struct JobServer {
     state: Arc<ServerState>,
     addr: std::net::SocketAddr,
@@ -142,8 +151,8 @@ pub struct JobServer {
 
 impl JobServer {
     /// Binds `addr` (e.g. `127.0.0.1:7077`, or port `0` for an ephemeral
-    /// port) and starts `workers` pool threads plus the accept loop, with
-    /// permissive defaults (no limits, no faults).
+    /// port) and starts `workers` in-process runners plus the accept
+    /// loop, with permissive defaults (no limits, no faults).
     ///
     /// # Errors
     ///
@@ -169,17 +178,22 @@ impl JobServer {
             sched: Arc::new(Scheduler::new()),
             admission: Admission::new(config.tenant_limit, config.queue_cap),
             fleet: Fleet::new(config.fleet, Arc::clone(&config.faults)),
-            pool_workers: config.workers,
+            workers: config.workers,
             cell_timeout: config.cell_timeout,
             faults: config.faults,
+            draining: AtomicBool::new(false),
             stopping: AtomicBool::new(false),
         });
-        // `workers == 0` starts no local pool: fleet-only execution.
-        let mut threads = if state.pool_workers > 0 {
-            state.sched.start_pool(state.pool_workers)
-        } else {
-            Vec::new()
-        };
+        // `workers == 0` starts no local runner: fleet-only execution.
+        let mut threads: Vec<JoinHandle<()>> = (0..state.workers)
+            .map(|k| {
+                let local = Arc::clone(&state);
+                std::thread::spawn(move || {
+                    let name = format!("local-{k}");
+                    run_loop(&*local, &name, &RetryPolicy::default(), &local.stopping);
+                })
+            })
+            .collect();
         let watchdog_state = Arc::clone(&state);
         threads.push(std::thread::spawn(move || watchdog_state.watchdog_loop()));
         let accept_state = Arc::clone(&state);
@@ -229,28 +243,36 @@ impl JobServer {
             .map_err(|e| e.message)
     }
 
-    /// Stops the accept loop and the pool (running cells finish, queued
-    /// cells are abandoned) and joins every thread. A panicked thread is
-    /// *reported*, never propagated: shutdown always completes.
+    /// Stops the accept loop, the runners and claiming (running cells
+    /// finish, queued cells are abandoned) and joins every thread. A
+    /// panicked thread is *reported*, never propagated: shutdown always
+    /// completes.
     pub fn shutdown(mut self) -> ShutdownReport {
         self.stop();
         self.join_threads()
     }
 
-    /// Drain-mode shutdown: stops accepting, lets the pool finish every
-    /// queued cell of every job, then joins. The report carries each
-    /// job's final status.
+    /// Drain-mode shutdown: refuses new jobs, waits until every accepted
+    /// job is terminal — local and remote runners keep executing, and the
+    /// accept loop keeps serving the remote ones — then stops and joins.
+    /// The report carries each job's final status.
     pub fn shutdown_drain(mut self) -> ShutdownReport {
-        self.state.stopping.store(true, Ordering::SeqCst);
-        self.state.sched.drain();
-        // Unblock `listener.incoming()` with one throwaway connection.
-        let _ = TcpStream::connect(self.addr);
+        self.state.draining.store(true, Ordering::SeqCst);
+        let accepted = self.state.lock_jobs().clone();
+        for job in accepted {
+            while job.is_active() {
+                job.wait_terminal(MAX_WAIT);
+            }
+        }
+        self.stop();
         self.join_threads()
     }
 
     fn stop(&self) {
+        self.state.draining.store(true, Ordering::SeqCst);
         self.state.stopping.store(true, Ordering::SeqCst);
         self.state.sched.stop();
+        // Unblock `listener.incoming()` with one throwaway connection.
         let _ = TcpStream::connect(self.addr);
     }
 
@@ -282,7 +304,7 @@ impl Drop for JobServer {
             return;
         }
         self.stop();
-        // Never panic in Drop: a panicked worker is already contained
+        // Never panic in Drop: a panicked runner is already contained
         // (its job is Failed); a double panic here would abort.
         for handle in self.threads.drain(..) {
             let _ = handle.join();
@@ -311,14 +333,6 @@ impl SubmitRefusal {
 
 impl ServerState {
     fn submit(&self, spec: ExperimentSpec, options: JobOptions) -> Result<u64, SubmitRefusal> {
-        if self.stopping.load(Ordering::SeqCst) {
-            return Err(SubmitRefusal {
-                status: 503,
-                reason: "Service Unavailable",
-                message: "daemon is shutting down".into(),
-                retry_after: Some(Duration::from_secs(1)),
-            });
-        }
         let tenant = if options.tenant.is_empty() {
             DEFAULT_TENANT
         } else {
@@ -335,9 +349,22 @@ impl ServerState {
             })?;
         let id = self.next_id.fetch_add(1, Ordering::SeqCst);
         let job = Arc::new(
-            Job::new(id, spec, self.pool_workers, options).map_err(SubmitRefusal::bad_request)?,
+            Job::new(id, spec, self.workers, options).map_err(SubmitRefusal::bad_request)?,
         );
-        self.lock_jobs().push(Arc::clone(&job));
+        {
+            let mut jobs = self.lock_jobs();
+            // Checked under the lock a drain snapshots the job list under,
+            // so every job the drain misses is refused.
+            if self.draining.load(Ordering::SeqCst) {
+                return Err(SubmitRefusal {
+                    status: 503,
+                    reason: "Service Unavailable",
+                    message: "daemon is shutting down".into(),
+                    retry_after: Some(Duration::from_secs(1)),
+                });
+            }
+            jobs.push(Arc::clone(&job));
+        }
         self.sched.enqueue(job);
         Ok(id)
     }
@@ -352,31 +379,29 @@ impl ServerState {
 
     /// Periodically enforces wall-clock limits no claim path would catch:
     /// job deadlines while nothing claims (queued or mid-flight jobs),
-    /// the per-cell watchdog for stuck cells, and fleet lease/runner
-    /// expiry (revoke-and-requeue).
+    /// the per-cell watchdog over lease ages (local and remote alike),
+    /// and fleet lease/runner expiry (revoke-and-requeue).
     fn watchdog_loop(&self) {
         while !self.stopping.load(Ordering::SeqCst) {
             self.fleet.tick(&self.sched);
             let jobs: Vec<Arc<Job>> = self.lock_jobs().clone();
             for job in jobs {
-                if !job.is_active() {
-                    continue;
-                }
-                if job.deadline.is_some_and(|d| Instant::now() >= d) {
+                if job.is_active() && job.deadline.is_some_and(|d| Instant::now() >= d) {
                     job.expire_deadline();
-                    continue;
                 }
-                if let (Some(timeout), Some((cell, elapsed))) =
-                    (self.cell_timeout, job.longest_running_cell())
-                {
-                    if elapsed > timeout {
-                        job.fail_with(format!(
-                            "cell {cell} exceeded the {}ms per-cell watchdog \
-                             (running for {}ms)",
-                            timeout.as_millis(),
-                            elapsed.as_millis()
-                        ));
-                    }
+            }
+            if let Some(timeout) = self.cell_timeout {
+                for (job, unit, age) in self.fleet.overdue(timeout) {
+                    let cell = match unit {
+                        WorkUnit::Cell(i) => i,
+                        WorkUnit::Inline => 0,
+                    };
+                    job.fail_with(format!(
+                        "cell {cell} exceeded the {}ms per-cell watchdog \
+                         (running for {}ms)",
+                        timeout.as_millis(),
+                        age.as_millis()
+                    ));
                 }
             }
             std::thread::sleep(Duration::from_millis(20));
@@ -551,7 +576,6 @@ impl ServerState {
         let options = JobOptions {
             tenant: request.header("x-tenant").unwrap_or("").to_string(),
             deadline,
-            faults: Some(Arc::clone(&self.faults)),
         };
         match self.submit(spec, options) {
             Ok(id) => Reply {
@@ -603,6 +627,31 @@ impl ServerState {
             Some(job) => f(&job),
             None => Reply::error(404, "Not Found", &format!("no job {id}")),
         }
+    }
+}
+
+/// The `--workers` runners' link: the routes' fleet calls, in process.
+impl Link for ServerState {
+    fn register(&self, name: &str) -> Option<RegisterReply> {
+        Some(self.fleet.register(name))
+    }
+
+    fn poll(&self, runner_id: u64, wait: Duration) -> Result<Option<LeaseGrant>, PollFailure> {
+        self.fleet
+            .poll(runner_id, &self.sched, wait)
+            .map_err(|_| PollFailure::Forgotten)
+    }
+
+    fn heartbeat(&self, lease_id: u64) -> bool {
+        self.fleet.heartbeat(lease_id)
+    }
+
+    fn result(&self, lease_id: u64, result: LeaseResult) {
+        self.fleet.result(lease_id, result);
+    }
+
+    fn deregister(&self, runner_id: u64) {
+        self.fleet.deregister(runner_id, &self.sched);
     }
 }
 

@@ -524,3 +524,140 @@ fn a_single_poller_receives_every_cell_of_a_three_cell_job() {
     assert_eq!(completed(idle.runner_id), Some(0));
     server.shutdown();
 }
+
+// --- one execution path: faults and liveness on every runner -----------
+
+/// Waits (at most 60 s) until job `id` is terminal and returns its status.
+fn wait_terminal(client: &Client, id: u64) -> cdcs_serve::protocol::JobStatus {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        let status = client.status(id).expect("status");
+        if status.state.is_terminal() {
+            return status;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "job {id} not terminal within 60s"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
+#[test]
+fn an_injected_cell_panic_fails_its_job_on_a_remote_runner() {
+    // The fault is decided at grant and fires on the runner, inside the
+    // lease's panic boundary: the job fails with the session's message,
+    // the runner survives, and the next job's bytes are untouched.
+    let server = fleet_server(
+        Duration::from_millis(2000),
+        Duration::from_secs(20),
+        "panic_cell:1",
+    );
+    let addr = server.addr().to_string();
+    let runner = Runner::new(addr.clone(), "solo").spawn();
+    let client = Client::new(addr.clone());
+
+    let spec = cells_spec("doomed", &["milc", "omnet", "bzip2"]);
+    let id = client
+        .submit(&serde_json::to_string(&spec).unwrap())
+        .expect("submit");
+    let status = wait_terminal(&client, id);
+    assert_eq!(status.state, JobState::Failed, "{status:?}");
+    let error = status.error.expect("failure carries the captured message");
+    assert!(
+        error.contains("cell 1 panicked: injected fault: panic_cell 1"),
+        "unexpected error: {error}"
+    );
+
+    let spec = small(specs::quickstart());
+    let served = client
+        .run(
+            &serde_json::to_string(&spec).unwrap(),
+            Duration::from_millis(25),
+        )
+        .expect("the same runner serves the next job");
+    assert_eq!(served, expected_bytes(&spec), "bytes diverge after a fault");
+
+    runner.stop();
+    let report = server.shutdown();
+    assert_eq!(report.panicked_threads, 0);
+}
+
+#[test]
+fn lose_lease_requeues_on_local_workers_too() {
+    // `--workers 2` are in-process runners on the lease path: they show
+    // in `GET /fleet`, and a doomed grant re-queues exactly as it does
+    // for a remote runner.
+    let mut config = ServerConfig::new("127.0.0.1:0", 2);
+    config.faults = std::sync::Arc::new(
+        cdcs_serve::faults::FaultPlan::parse("lose_lease:2").expect("fault spec"),
+    );
+    let server = JobServer::start_with(config).expect("server");
+    let addr = server.addr().to_string();
+
+    let spec = cells_spec(
+        "lose_lease_local",
+        &["calculix", "milc", "omnet", "bzip2", "xalancbmk"],
+    );
+    let served = Client::new(addr.clone())
+        .run(
+            &serde_json::to_string(&spec).unwrap(),
+            Duration::from_millis(25),
+        )
+        .expect("job survives the injected lost lease");
+    assert_eq!(
+        served,
+        expected_bytes(&spec),
+        "report under lose_lease on local workers diverges"
+    );
+    let status = fleet_status(&addr);
+    assert!(
+        status.requeued >= 1,
+        "the doomed grant must re-queue cell 2: {status:?}"
+    );
+    let mut names: Vec<&str> = status.runners.iter().map(|r| r.name.as_str()).collect();
+    names.sort_unstable();
+    assert_eq!(names, ["local-0", "local-1"], "{status:?}");
+
+    let report = server.shutdown();
+    assert_eq!(report.panicked_threads, 0);
+}
+
+#[test]
+fn heartbeats_keep_a_runner_busy_on_one_long_cell_alive() {
+    // runner_ttl 400 ms, and the injected slow cell holds the runner's
+    // only lease for 1 s — more than twice the TTL. Its heartbeats (every
+    // 100 ms, a third of the 300 ms lease TTL) are its only sign of life
+    // meanwhile; they must keep the runner registered, or the watchdog
+    // expires it, revokes the lease and re-queues the cell.
+    let server = fleet_server(
+        Duration::from_millis(300),
+        Duration::from_millis(400),
+        "slow_cell:0:1000",
+    );
+    let addr = server.addr().to_string();
+    let runner = Runner::new(addr.clone(), "busy").spawn();
+    let spec = cells_spec("long_cell", &["milc"]);
+
+    let started = Instant::now();
+    let served = Client::new(addr.clone())
+        .run(
+            &serde_json::to_string(&spec).unwrap(),
+            Duration::from_millis(25),
+        )
+        .expect("the long cell finishes");
+    assert!(
+        started.elapsed() >= Duration::from_millis(800),
+        "the slow cell fault did not hold the lease"
+    );
+    assert_eq!(served, expected_bytes(&spec));
+    let status = fleet_status(&addr);
+    assert_eq!(
+        status.requeued, 0,
+        "the busy runner was expired: {status:?}"
+    );
+    assert_eq!(status.completed, 1, "{status:?}");
+
+    runner.stop();
+    server.shutdown();
+}

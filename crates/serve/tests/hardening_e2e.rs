@@ -4,14 +4,15 @@
 //! dropped/garbled connections) degrade exactly one job while the daemon
 //! and other tenants keep working, the client retries through connection
 //! loss and a daemon restart, and drain-mode shutdown finishes queued
-//! cells.
+//! cells. Faults, the per-cell watchdog and drain behave the same on the
+//! daemon's in-process runners and on remote ones.
 
 use cdcs_bench::exp::{BaseConfig, ExperimentSpec, GridSpec, MixEntry, SpecKind};
 use cdcs_bench::specs;
 use cdcs_serve::admission::TenantLimit;
 use cdcs_serve::faults::FaultPlan;
 use cdcs_serve::protocol::JobState;
-use cdcs_serve::{Client, JobServer, RetryPolicy, ServerConfig};
+use cdcs_serve::{Client, JobServer, RetryPolicy, Runner, ServerConfig};
 use cdcs_sim::runner::CellRun;
 use cdcs_sim::Scheme;
 use cdcs_workload::MixSpec;
@@ -55,6 +56,36 @@ fn wait_terminal(client: &Client, id: u64) -> JobState {
             return status.state;
         }
         std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
+/// What a scripted stand-in daemon reads per connection: the whole
+/// request — the head, then as many body bytes as it declares — as the
+/// real daemon's parser does. A single `read` may return the head alone;
+/// answering and closing with the body unread makes the kernel reset the
+/// connection, which the client then retries as a transport failure.
+fn read_whole_request(stream: &mut std::net::TcpStream) -> String {
+    use std::io::Read;
+    let mut raw = Vec::new();
+    let mut buf = [0u8; 4096];
+    loop {
+        if let Some(end) = raw.windows(4).position(|w| w == b"\r\n\r\n") {
+            let head = String::from_utf8_lossy(&raw[..end]).to_string();
+            let declared: usize = head
+                .lines()
+                .filter_map(|line| line.split_once(':'))
+                .find(|(name, _)| name.trim().eq_ignore_ascii_case("content-length"))
+                .and_then(|(_, value)| value.trim().parse().ok())
+                .unwrap_or(0);
+            if raw.len() >= end + 4 + declared {
+                return String::from_utf8_lossy(&raw).to_string();
+            }
+        }
+        let n = stream.read(&mut buf).expect("read");
+        if n == 0 {
+            return String::from_utf8_lossy(&raw).to_string();
+        }
+        raw.extend_from_slice(&buf[..n]);
     }
 }
 
@@ -236,7 +267,7 @@ fn client_run_resubmits_after_a_daemon_restart() {
     // restarted daemon would — claims to have never heard of the job.
     // The client must resubmit the spec and finish against the new
     // incarnation, with no user intervention.
-    use std::io::{Read, Write};
+    use std::io::Write;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
@@ -246,9 +277,7 @@ fn client_run_resubmits_after_a_daemon_restart() {
     let script = std::thread::spawn(move || {
         loop {
             let (mut stream, _) = listener.accept().expect("accept");
-            let mut buf = [0u8; 65536];
-            let n = stream.read(&mut buf).expect("read");
-            let request = String::from_utf8_lossy(&buf[..n]).to_string();
+            let request = read_whole_request(&mut stream);
             let start = request.lines().next().unwrap_or("").to_string();
             let respond = |stream: &mut std::net::TcpStream, status: &str, body: &str| {
                 let head = format!(
@@ -301,7 +330,7 @@ fn client_run_paces_its_polls_against_a_daemon_that_ignores_wait_ms() {
     // `Running` three times, then `Done` — whatever `wait_ms` asks for.
     // The client must still leave `poll` between requests, so such a
     // daemon sees the request rate it always saw.
-    use std::io::{Read, Write};
+    use std::io::Write;
     use std::sync::Mutex;
 
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
@@ -310,9 +339,7 @@ fn client_run_paces_its_polls_against_a_daemon_that_ignores_wait_ms() {
     let seen = Arc::clone(&status_paths);
     let script = std::thread::spawn(move || loop {
         let (mut stream, _) = listener.accept().expect("accept");
-        let mut buf = [0u8; 65536];
-        let n = stream.read(&mut buf).expect("read");
-        let request = String::from_utf8_lossy(&buf[..n]).to_string();
+        let request = read_whole_request(&mut stream);
         let start = request.lines().next().unwrap_or("").to_string();
         let (status, body, last) = if start.starts_with("POST /jobs") {
             ("201 Created", "{\"id\":0}".to_string(), false)
@@ -396,24 +423,69 @@ fn client_retries_until_the_daemon_comes_up() {
 
 #[test]
 fn drain_shutdown_finishes_every_queued_cell() {
-    let server = JobServer::start("127.0.0.1:0", 1).expect("server");
-    let client = Client::new(server.addr().to_string());
-    let a = client
-        .submit(&spec_json(&cells_spec(
-            "drain_a",
-            &["calculix", "milc", "omnet", "bzip2"],
-        )))
-        .expect("submit a");
-    let b = client
-        .submit(&spec_json(&cells_spec("drain_b", &["mgrid", "md"])))
-        .expect("submit b");
+    // Two daemon shapes: one in-process runner, and fleet-only with one
+    // remote runner (the drain must keep serving its polls).
+    for workers in [1, 0] {
+        let server = JobServer::start("127.0.0.1:0", workers).expect("server");
+        let remote = (workers == 0).then(|| Runner::new(server.addr().to_string(), "r").spawn());
+        let client = Client::new(server.addr().to_string());
+        let a = client
+            .submit(&spec_json(&cells_spec(
+                "drain_a",
+                &["calculix", "milc", "omnet", "bzip2"],
+            )))
+            .expect("submit a");
+        let b = client
+            .submit(&spec_json(&cells_spec("drain_b", &["mgrid", "md"])))
+            .expect("submit b");
 
-    // Immediate drain: nothing has necessarily even been claimed yet.
-    let report = server.shutdown_drain();
-    assert_eq!(report.panicked_threads, 0);
-    for id in [a, b] {
-        let job = &report.jobs[id as usize];
-        assert_eq!(job.state, JobState::Done, "job {id}: {job:?}");
-        assert_eq!(job.completed_cells, job.total_cells, "job {id}: {job:?}");
+        // Immediate drain: nothing has necessarily even been claimed yet.
+        let report = server.shutdown_drain();
+        assert_eq!(report.panicked_threads, 0);
+        for id in [a, b] {
+            let job = &report.jobs[id as usize];
+            assert_eq!(job.state, JobState::Done, "job {id}: {job:?}");
+            assert_eq!(job.completed_cells, job.total_cells, "job {id}: {job:?}");
+        }
+        if let Some(remote) = remote {
+            remote.stop();
+        }
+    }
+}
+
+#[test]
+fn the_cell_watchdog_fails_a_stuck_cell_on_local_and_remote_runners() {
+    // The watchdog reads lease ages, so a cell held past the timeout
+    // fails its job whichever runner holds it.
+    for workers in [1, 0] {
+        let mut config = config_with("slow_cell:0:400");
+        config.workers = workers;
+        config.cell_timeout = Some(Duration::from_millis(100));
+        let server = JobServer::start_with(config).expect("server");
+        let remote = (workers == 0).then(|| Runner::new(server.addr().to_string(), "r").spawn());
+        let client = Client::new(server.addr().to_string());
+
+        let id = client
+            .submit(&spec_json(&cells_spec("stuck", &["milc", "omnet"])))
+            .expect("submit");
+        assert_eq!(
+            wait_terminal(&client, id),
+            JobState::Failed,
+            "workers {workers}"
+        );
+        let error = client
+            .status(id)
+            .expect("status")
+            .error
+            .expect("failure carries the watchdog's verdict");
+        assert!(
+            error.contains("cell 0 exceeded the 100ms per-cell watchdog"),
+            "workers {workers}: {error}"
+        );
+        if let Some(remote) = remote {
+            remote.stop();
+        }
+        let report = server.shutdown();
+        assert_eq!(report.panicked_threads, 0, "workers {workers}");
     }
 }

@@ -243,6 +243,52 @@ fn served_specs_may_not_record_traces() {
 }
 
 #[test]
+fn served_specs_may_replay_only_committed_trace_fixtures() {
+    // Any other `trace_replay` path would make the daemon (or a runner)
+    // open whatever file the spec names: refused before anything queues.
+    let server = JobServer::start("127.0.0.1:0", 1).expect("server");
+    let client = Client::new(server.addr().to_string());
+    let replaying = |path: &str| {
+        let mut spec = small(specs::trace_replay());
+        if let SpecKind::Grid(grid) = &mut spec.kind {
+            grid.patches[0].trace_replay = Some(path.to_string());
+        }
+        serde_json::to_string(&spec).expect("spec serializes")
+    };
+    for path in [
+        "/etc/hostname",
+        "../specs/traces/calculix_milc/index.json",
+        "specs/traces/../../x/index.json",
+    ] {
+        let err = client.submit(&replaying(path)).expect_err(path);
+        assert!(err.contains("400"), "{path}: {err}");
+        assert!(err.contains("trace_replay"), "{path}: {err}");
+    }
+    let jobs: cdcs_serve::protocol::JobList = serde_json::from_str(
+        &cdcs_serve::http::request(&client.addr, "GET", "/jobs", &[], None)
+            .expect("jobs")
+            .body,
+    )
+    .expect("job list parses");
+    assert!(jobs.jobs.is_empty(), "a refused job was queued: {jobs:?}");
+
+    // The committed fixture itself is served, byte-equal to the
+    // in-process artifact.
+    let spec = small(specs::trace_replay());
+    let served = client
+        .run(
+            &replaying("specs/traces/calculix_milc/index.json"),
+            Duration::from_millis(25),
+        )
+        .expect("the committed fixture replays");
+    let expected = serde_json::to_string_pretty(&spec.run().expect("in-process run"))
+        .expect("report serializes");
+    assert_eq!(served, expected);
+    let report = server.shutdown();
+    assert_eq!(report.panicked_threads, 0);
+}
+
+#[test]
 fn protocol_errors_are_structured() {
     let server = JobServer::start("127.0.0.1:0", 1).expect("server");
     let client = Client::new(server.addr().to_string());

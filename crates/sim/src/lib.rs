@@ -60,4 +60,4 @@ pub use engine::{SimResult, Simulation, SHARD_SEQ_THRESHOLD};
 pub use memory::MemoryModel;
 pub use metrics::{SystemMetrics, ThreadMetrics};
 pub use scheme::{MoveScheme, Scheme, ThreadSched};
-pub use session::{CancelToken, CellDone, CellHook, GridSession, SessionOptions, SessionProgress};
+pub use session::{CancelToken, CellDone, GridSession, SessionOptions, SessionProgress};

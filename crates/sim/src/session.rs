@@ -22,9 +22,11 @@
 //!   (what `run_grid` uses);
 //! * [`GridSession::queued`] spawns nothing — external threads drive the
 //!   session via [`GridSession::try_claim`] + [`GridSession::run_claimed`]
-//!   (or [`GridSession::drive`]). This is the hook the `cdcs-serve`
-//!   experiment daemon uses to interleave cells from many concurrent jobs
-//!   fairly across one shared machine-wide pool.
+//!   (or [`GridSession::drive`]), or claim cells to run elsewhere and hand
+//!   the results back through [`GridSession::deliver`] (or return them
+//!   with [`GridSession::requeue`]). The `cdcs-serve` experiment daemon
+//!   does the latter: it leases each claimed cell to a runner, which is
+//!   how it interleaves cells from many concurrent jobs fairly.
 
 use crate::runner::{run_cell, GridCell};
 use crate::{SimConfig, SimResult};
@@ -34,32 +36,14 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// A hook run on the worker thread just before each claimed cell, inside
-/// the same panic boundary as the cell body: a panicking hook fails *that
-/// cell* (its `Err` carries the payload message), never the worker. This
-/// is the seam the `cdcs-serve` fault-injection harness uses to inject
-/// deterministic cell panics and slowdowns without touching the engine.
-pub type CellHook = Arc<dyn Fn(usize) + Send + Sync>;
-
 /// Optional session behaviors beyond the plain claim/run/deliver loop.
-#[derive(Default, Clone)]
+#[derive(Debug, Default, Clone)]
 pub struct SessionOptions {
     /// Wall-clock deadline: once it passes, no new cells are issued (the
     /// session behaves as cancelled) and
     /// [`GridSession::deadline_exceeded`] reports `true`. In-flight cells
     /// still complete and deliver.
     pub deadline: Option<Instant>,
-    /// Pre-cell hook (see [`CellHook`]).
-    pub cell_hook: Option<CellHook>,
-}
-
-impl std::fmt::Debug for SessionOptions {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SessionOptions")
-            .field("deadline", &self.deadline)
-            .field("cell_hook", &self.cell_hook.is_some())
-            .finish()
-    }
 }
 
 /// Applies the nested-clamp rule for a session executed by `pool_workers`
@@ -259,12 +243,7 @@ impl SessionShared {
     /// pool). The session keeps streaming; the failure surfaces exactly
     /// like a construction error.
     fn run_claimed(&self, index: usize) {
-        let result = catch_cell_panic(index, || {
-            if let Some(hook) = &self.options.cell_hook {
-                hook(index);
-            }
-            run_cell(&self.config, &self.cells[index])
-        });
+        let result = catch_cell_panic(index, || run_cell(&self.config, &self.cells[index]));
         self.deliver(index, result);
     }
 
@@ -329,14 +308,13 @@ impl GridSession {
     /// it through [`Self::try_claim`] + [`Self::run_claimed`] or
     /// [`Self::drive`]. `config` is used verbatim — callers driving the
     /// session from a wide shared pool apply [`clamp_intra_cell`]
-    /// themselves (the `cdcs-serve` scheduler does).
+    /// themselves (the `cdcs-serve` daemon does).
     pub fn queued(config: &SimConfig, cells: Vec<GridCell>) -> Self {
         GridSession::queued_with(config, cells, SessionOptions::default())
     }
 
-    /// [`Self::queued`] with extra behaviors: a wall-clock deadline and/or
-    /// a pre-cell hook (the `cdcs-serve` daemon's deadline enforcement and
-    /// fault-injection seams).
+    /// [`Self::queued`] with extra behaviors: a wall-clock deadline (the
+    /// `cdcs-serve` daemon's deadline enforcement seam).
     pub fn queued_with(config: &SimConfig, cells: Vec<GridCell>, options: SessionOptions) -> Self {
         GridSession {
             shared: Arc::new(SessionShared {

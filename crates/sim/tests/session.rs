@@ -165,7 +165,6 @@ fn expired_deadline_stops_issuing_and_is_distinguishable_from_cancel() {
         cells.clone(),
         SessionOptions {
             deadline: Some(Instant::now() + Duration::from_secs(3600)),
-            ..SessionOptions::default()
         },
     );
     let i = session.try_claim().expect("claimable before the deadline");
@@ -178,7 +177,6 @@ fn expired_deadline_stops_issuing_and_is_distinguishable_from_cancel() {
         cells.clone(),
         SessionOptions {
             deadline: Some(Instant::now() - Duration::from_millis(1)),
-            ..SessionOptions::default()
         },
     );
     assert!(!expired.deadline_exceeded(), "unobserved until a claim");
@@ -195,39 +193,6 @@ fn expired_deadline_stops_issuing_and_is_distinguishable_from_cancel() {
     // The live session still works and its result matches the reference.
     let done = session.recv().expect("pre-deadline cell delivered");
     assert_eq!(done.result.expect("ran"), serial[done.index]);
-}
-
-#[test]
-fn cell_hook_panics_fail_only_that_cell() {
-    use cdcs_sim::SessionOptions;
-    use std::sync::Arc;
-
-    let config = SimConfig::small_test();
-    let cells = five_cells();
-    let serial = run_grid_serial(&config, &cells).expect("serial grid");
-    let session = GridSession::queued_with(
-        &config,
-        cells.clone(),
-        SessionOptions {
-            cell_hook: Some(Arc::new(|index| {
-                if index == 1 {
-                    panic!("injected fault in cell {index}");
-                }
-            })),
-            ..SessionOptions::default()
-        },
-    );
-    session.drive();
-    let slots = session.join();
-    for (i, slot) in slots.into_iter().enumerate() {
-        let result = slot.expect("every cell issued");
-        if i == 1 {
-            let err = result.expect_err("hooked cell fails");
-            assert_eq!(err, "cell 1 panicked: injected fault in cell 1");
-        } else {
-            assert_eq!(result.expect("clean cell runs"), serial[i], "cell {i}");
-        }
-    }
 }
 
 #[test]

@@ -15,6 +15,7 @@
 
 use crate::{AccessStream, StreamTarget, WorkloadMix};
 use serde::{Deserialize, Serialize};
+use std::ffi::OsStr;
 use std::path::{Path, PathBuf};
 
 /// Tag byte for a [`StreamTarget::ThreadPrivate`] record.
@@ -97,7 +98,8 @@ impl TraceSource {
     /// # Errors
     ///
     /// Returns a message for missing files, malformed JSON or binary
-    /// records, and index/log disagreements.
+    /// records, index/log disagreements, and a log `file` that is not a
+    /// bare file name (an index may only name logs in its own directory).
     pub fn load(path: &str) -> Result<TraceSource, String> {
         let index_path = resolve(path)?;
         let dir = index_path
@@ -117,6 +119,12 @@ impl TraceSource {
         }
         let mut data = Vec::with_capacity(index.threads.len());
         for meta in &index.threads {
+            if Path::new(&meta.file).file_name() != Some(OsStr::new(&meta.file)) {
+                return Err(format!(
+                    "trace index {path} names log {:?}, which is not a bare file name",
+                    meta.file
+                ));
+            }
             let log_path = dir.join(&meta.file);
             let bytes = std::fs::read(&log_path)
                 .map_err(|e| format!("reading trace log {}: {e}", log_path.display()))?;
@@ -434,6 +442,22 @@ mod tests {
         std::fs::write(dir.join("t0.bin"), [0u8; 18]).unwrap();
         let err = TraceSource::load(dir.join("index.json").to_str().unwrap()).unwrap_err();
         assert!(err.contains("index says"), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn load_rejects_logs_outside_the_index_directory() {
+        let dir = temp_dir("escape");
+        write_trace(&dir, &small_mix(), &[(vec![], true), (vec![], true)]).unwrap();
+        let index_path = dir.join("index.json");
+        let clean = std::fs::read_to_string(&index_path).unwrap();
+        for file in ["../t0.bin", "sub/t0.bin", "/etc/hostname", "..", ""] {
+            let escaped = clean.replacen("\"t0.bin\"", &format!("{file:?}"), 1);
+            assert_ne!(escaped, clean, "the index names t0.bin");
+            std::fs::write(&index_path, escaped).unwrap();
+            let err = TraceSource::load(index_path.to_str().unwrap()).unwrap_err();
+            assert!(err.contains("not a bare file name"), "{file:?}: {err}");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
