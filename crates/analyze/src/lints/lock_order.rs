@@ -1,23 +1,22 @@
 //! `lock-order` — `cdcs-serve` acquires its mutexes in one declared order.
 //!
-//! The daemon holds six mutexes across five layers (server → fleet →
-//! scheduler → job → admission). Deadlock needs two functions acquiring
-//! two of them in opposite orders, so the pass extracts, per function, the
-//! sequence of lock acquisitions appearing in the body and checks every
-//! ordered pair against [`ORDER`]. The check is conservative-lexical: a later
+//! The daemon holds four mutexes, one per layer (server → fleet → job →
+//! admission). Deadlock needs two functions acquiring two of them in
+//! opposite orders, so the pass extracts, per function, the sequence of
+//! lock acquisitions appearing in the body and checks every ordered pair
+//! against [`ORDER`]. The check is conservative-lexical: a later
 //! acquisition counts even if the earlier guard was already dropped —
 //! waive those lines with `lint: allow(lock-order) — guard dropped above`.
 //!
-//! Acquisitions are recognized three ways:
+//! Acquisitions are recognized two ways:
 //! * directly — `<name>.lock()` (receiver ident before the call);
 //! * through the named wrapper methods ([`WRAPPERS`]: `lock_jobs`,
-//!   `lock_fleet`, `lock_phase`);
-//! * through a bare `self.lock()` whose meaning is file-specific
-//!   ([`SELF_ALIAS`]).
+//!   `lock_fleet`, `lock_state`).
 //!
 //! A `.lock()` on a receiver not declared in [`ORDER`] is itself a
-//! diagnostic: new mutexes must be added to the table (with a position
-//! chosen against the existing ones) before they can ship.
+//! diagnostic, and so is a bare `self.lock()`, which names no mutex: new
+//! mutexes must be added to the table (with a position chosen against the
+//! existing ones) before they can ship.
 
 use crate::diag::Diagnostic;
 use crate::lexer::TokKind;
@@ -27,24 +26,18 @@ const LINT: &str = "lock-order";
 
 /// The declared acquisition order, outermost first. Derived from the
 /// daemon's layering: the server's job list is the entry point, the
-/// fleet's runner and lease state nests next (its poll path holds
-/// `fleet` while claiming from the rotation — the second deliberate
-/// nesting), the scheduler's rotation orders every runner's claims,
-/// per-job state nests inside (the phase is the terminal-state gate, and
-/// the assembly is drained *while the phase lock is held* in
-/// `try_finalize` — the other deliberate nesting), and the admission
-/// buckets are a leaf taken on their own.
-pub const ORDER: [&str; 6] = ["jobs", "fleet", "rotation", "phase", "assembly", "buckets"];
+/// fleet's rotation, runner and lease state nests next, a job's `state`
+/// (its units, verdict, assembly and phase) nests inside the fleet's —
+/// claims and re-queues take it while holding `fleet`, the one deliberate
+/// nesting — and the admission buckets are a leaf taken on their own.
+pub const ORDER: [&str; 4] = ["jobs", "fleet", "state", "buckets"];
 
 /// Wrapper methods that acquire a named lock.
 pub const WRAPPERS: [(&str, &str); 3] = [
     ("lock_jobs", "jobs"),
     ("lock_fleet", "fleet"),
-    ("lock_phase", "phase"),
+    ("lock_state", "state"),
 ];
-
-/// What a bare `self.lock()` means, per file stem.
-pub const SELF_ALIAS: [(&str, &str); 1] = [("scheduler", "rotation")];
 
 fn rank(name: &str) -> Option<usize> {
     ORDER.iter().position(|&n| n == name)
@@ -52,16 +45,6 @@ fn rank(name: &str) -> Option<usize> {
 
 pub fn check(file: &SourceFile, out: &mut Vec<Diagnostic>) {
     let toks = &file.toks;
-    let stem = file
-        .rel
-        .rsplit('/')
-        .next()
-        .and_then(|f| f.strip_suffix(".rs"))
-        .unwrap_or("");
-    let self_alias = SELF_ALIAS
-        .iter()
-        .find(|(s, _)| *s == stem)
-        .map(|&(_, lock)| lock);
 
     // Walk functions: `fn name … { body }`.
     let mut i = 0usize;
@@ -85,7 +68,7 @@ pub fn check(file: &SourceFile, out: &mut Vec<Diagnostic>) {
             continue;
         }
         let end = match_brace(toks, b);
-        check_body(file, &fn_name, b, end, self_alias, out);
+        check_body(file, &fn_name, b, end, out);
         i = end + 1;
     }
 }
@@ -95,7 +78,6 @@ fn check_body(
     fn_name: &str,
     body_start: usize,
     body_end: usize,
-    self_alias: Option<&str>,
     out: &mut Vec<Diagnostic>,
 ) {
     let toks = &file.toks;
@@ -117,24 +99,15 @@ fn check_body(
         {
             let recv = toks[j - 2].text.as_str();
             if recv == "self" {
-                match self_alias {
-                    Some(lock) => acquired = Some((lock.to_string(), t.line)),
-                    None => out.push(Diagnostic {
-                        lint: LINT.to_string(),
-                        file: file.rel.clone(),
-                        line: t.line,
-                        message: format!(
-                            "bare `self.lock()` in `{fn_name}` has no SELF_ALIAS entry for \
-                             `{stem}.rs`; name the mutex so its order can be checked",
-                            stem = file
-                                .rel
-                                .rsplit('/')
-                                .next()
-                                .and_then(|f| f.strip_suffix(".rs"))
-                                .unwrap_or("?")
-                        ),
-                    }),
-                }
+                out.push(Diagnostic {
+                    lint: LINT.to_string(),
+                    file: file.rel.clone(),
+                    line: t.line,
+                    message: format!(
+                        "bare `self.lock()` in `{fn_name}` names no mutex; lock a named \
+                         field or a WRAPPERS method so its order can be checked"
+                    ),
+                });
             } else {
                 acquired = Some((recv.to_string(), t.line));
             }

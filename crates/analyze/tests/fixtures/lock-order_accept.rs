@@ -1,35 +1,35 @@
 //! Accept fixture (crate `serve`): acquisitions follow the declared
-//! order (jobs → phase → assembly), wrapper methods resolve to their
+//! order (jobs → fleet → state), wrapper methods resolve to their
 //! lock names, and a deliberate out-of-order touch is waived.
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 pub struct Daemon {
     jobs: Mutex<Vec<u64>>,
-    phase: Mutex<u8>,
-    assembly: Mutex<Vec<u8>>,
+    fleet: Mutex<u8>,
+    state: Mutex<Vec<u8>>,
 }
 
 impl Daemon {
-    fn lock_phase(&self) -> MutexGuard<'_, u8> {
-        self.phase.lock().unwrap_or_else(PoisonError::into_inner)
+    fn lock_fleet(&self) -> MutexGuard<'_, u8> {
+        self.fleet.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    pub fn finalize(&self) {
+    pub fn claim(&self) {
         let j = self.jobs.lock().unwrap_or_else(PoisonError::into_inner);
-        let p = self.lock_phase();
-        let a = self.assembly.lock().unwrap_or_else(PoisonError::into_inner);
-        drop((j, p, a));
+        let f = self.lock_fleet();
+        let s = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        drop((j, f, s));
     }
 
-    pub fn drain_then_report(&self) {
+    pub fn deliver_then_count(&self) {
         {
-            let a = self.assembly.lock().unwrap_or_else(PoisonError::into_inner);
-            drop(a);
+            let s = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+            drop(s);
         }
-        // lint: allow(lock-order) — the assembly guard was dropped above;
+        // lint: allow(lock-order) — the state guard was dropped above;
         // the acquisitions never overlap.
-        let p = self.lock_phase();
-        drop(p);
+        let f = self.lock_fleet();
+        drop(f);
     }
 }

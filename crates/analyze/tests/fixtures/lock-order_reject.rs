@@ -5,16 +5,16 @@ use std::sync::Mutex;
 
 pub struct Daemon {
     jobs: Mutex<Vec<u64>>,
-    phase: Mutex<u8>,
-    assembly: Mutex<Vec<u8>>,
+    fleet: Mutex<u8>,
+    state: Mutex<Vec<u8>>,
     cache_dir: Mutex<String>,
 }
 
 impl Daemon {
-    pub fn finalize_backwards(&self) {
-        let a = self.assembly.lock().unwrap_or_else(|e| e.into_inner());
-        let p = self.phase.lock().unwrap_or_else(|e| e.into_inner());
-        drop((a, p));
+    pub fn claim_backwards(&self) {
+        let s = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let f = self.fleet.lock().unwrap_or_else(|e| e.into_inner());
+        drop((s, f));
     }
 
     pub fn undeclared(&self) {

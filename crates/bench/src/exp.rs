@@ -373,13 +373,12 @@ impl GridReport {
 /// config, the flat cell list, and the report wiring that turns the cells'
 /// results back into a [`GridReport`].
 ///
-/// This is the seam the streaming path uses: [`GridSpec::run`] feeds the
+/// This is the seam the served path uses: [`GridSpec::run`] feeds the
 /// cells through one blocking [`runner::run_grid`] wave, while the
-/// `cdcs-serve` daemon hands the same cells to a
-/// [`cdcs_sim::GridSession`] on its shared pool, streams per-cell
-/// progress, and calls [`ExpandedGrid::assemble`] when the last cell
+/// `cdcs-serve` daemon leases the same cells one by one to its runners,
+/// tracks per-cell progress, and assembles the report when the last cell
 /// lands — both produce identical reports because assembly only depends
-/// on `(cells, results)`.
+/// on `(cells, results)`, not on the order the cells ran in.
 pub struct ExpandedGrid {
     /// The configuration every cell runs under (auto-intra-cell applied).
     pub config: SimConfig,
@@ -391,8 +390,8 @@ pub struct ExpandedGrid {
 
 impl ExpandedGrid {
     /// Splits the expansion into the executable half (config + cells,
-    /// which a [`cdcs_sim::GridSession`] takes ownership of) and the
-    /// report-assembly half (kept until the results stream back).
+    /// which the `cdcs-serve` daemon's job takes ownership of) and the
+    /// report-assembly half (kept until every cell's result is back).
     pub fn into_parts(self) -> (SimConfig, Vec<GridCell>, GridAssembly) {
         (
             self.config,
@@ -517,7 +516,7 @@ impl GridAssembly {
 
 impl GridSpec {
     /// Expands the spec and executes every cell in one parallel wave:
-    /// a thin collector over the session-backed [`runner::run_grid`].
+    /// a thin collector over [`runner::run_grid`]'s pool.
     ///
     /// # Errors
     ///
@@ -808,20 +807,19 @@ mod tests {
 
     #[test]
     fn streamed_session_assembly_matches_blocking_run() {
-        // The server's path: expand, drive a session, assemble from the
-        // streamed results — must be bit-identical to `GridSpec::run`.
+        // The server's path: expand, run each cell on its own (here last
+        // cell first, as leases may land), slot the results back by index
+        // and assemble — must be bit-identical to `GridSpec::run`.
         let spec = two_scheme_spec();
         let SpecKind::Grid(grid) = &spec.kind else {
             unreachable!()
         };
         let blocking = grid.run().unwrap();
         let expanded = grid.expand().unwrap();
-        let session = cdcs_sim::GridSession::queued(&expanded.config, expanded.cells.clone());
-        session.drive();
         let mut results: Vec<Option<cdcs_sim::SimResult>> =
             (0..expanded.cells.len()).map(|_| None).collect();
-        while let Some(done) = session.recv() {
-            results[done.index] = Some(done.result.unwrap());
+        for i in (0..expanded.cells.len()).rev() {
+            results[i] = Some(runner::run_cell(&expanded.config, &expanded.cells[i]).unwrap());
         }
         let streamed = expanded.assemble(results.into_iter().map(Option::unwrap).collect());
         assert_eq!(streamed, blocking);

@@ -1,7 +1,8 @@
 //! Lease bookkeeping for the runner fleet.
 //!
 //! A lease is the fleet's unit of at-most-once-in-flight accounting: one
-//! claimed [`WorkUnit`] handed to one runner, local or remote, alive only
+//! claimed unit of a job (a grid cell, or a whole analysis spec) handed
+//! to one runner, local or remote, alive only
 //! while heartbeats keep landing. The table is a plain struct — **no
 //! interior locking** — because it lives inside the fleet's single mutex
 //! ([`crate::fleet`]);
@@ -13,7 +14,7 @@
 //! elsewhere — byte-equal either way, so the race is harmless even in
 //! principle).
 
-use crate::job::{Job, WorkUnit};
+use crate::job::Job;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -24,8 +25,8 @@ pub struct Lease {
     pub runner: u64,
     /// The job the unit belongs to.
     pub job: Arc<Job>,
-    /// The leased unit.
-    pub unit: WorkUnit,
+    /// The leased unit's index within its job.
+    pub unit: usize,
     /// When the lease was granted (the per-cell watchdog's clock).
     pub granted: Instant,
     /// Last heartbeat (grant counts as one).
@@ -46,7 +47,7 @@ impl LeaseTable {
     }
 
     /// Grants a new lease and returns its id.
-    pub fn grant(&mut self, runner: u64, job: Arc<Job>, unit: WorkUnit) -> u64 {
+    pub fn grant(&mut self, runner: u64, job: Arc<Job>, unit: usize) -> u64 {
         self.next_id += 1;
         let id = self.next_id;
         // lint: allow(determinism) — lease liveness is wall-clock
@@ -113,7 +114,7 @@ impl LeaseTable {
     }
 
     /// Every lease granted more than `limit` ago, as `(job, unit, age)`.
-    pub fn older_than(&self, limit: Duration) -> Vec<(Arc<Job>, WorkUnit, Duration)> {
+    pub fn older_than(&self, limit: Duration) -> Vec<(Arc<Job>, usize, Duration)> {
         self.leases
             .values()
             .map(|lease| (lease, lease.granted.elapsed()))

@@ -1,14 +1,13 @@
 #![forbid(unsafe_code)]
-//! `cdcs-serve`: a spec-serving experiment daemon over streaming grid
-//! sessions.
+//! `cdcs-serve`: a spec-serving experiment daemon.
 //!
-//! The execution API used to be one blocking `run_grid` wave per process.
-//! This crate turns the machine into a long-running service in the shape
-//! the paper's co-scheduling pitch implies (and elastic cache services
-//! like CoT/DistCache motivate): a daemon that accepts typed
+//! In process, a grid runs as one blocking `run_grid` wave. This crate
+//! turns the machine into a long-running service in the shape the paper's
+//! co-scheduling pitch implies (and elastic cache services like
+//! CoT/DistCache motivate): a daemon that accepts typed
 //! [`cdcs_bench::exp::ExperimentSpec`]s as JSON, schedules their cells
-//! **fairly across every runner** (round-robin over concurrent jobs, each
-//! cell claimed from a [`cdcs_sim::GridSession`]), streams per-cell
+//! **fairly across every runner** (round-robin over concurrent jobs, one
+//! cell per claim from each [`job`]'s own bookkeeping), reports per-cell
 //! progress, supports cancellation, and serves finished
 //! [`cdcs_bench::exp::ExperimentReport`]s byte-equal to the `out/`
 //! artifacts the same specs produce in process.
@@ -22,9 +21,9 @@
 //!
 //! The daemon is hardened for multi-tenant traffic: [`admission`] bounds
 //! overload (per-tenant token buckets + a queue-depth cap → `429` +
-//! `Retry-After`), jobs carry optional wall-clock deadlines enforced
-//! through the session's cancellation machinery (plus a per-cell
-//! watchdog over lease ages), panics anywhere in job execution are
+//! `Retry-After`), jobs carry optional wall-clock deadlines enforced at
+//! claim time and by a watchdog (plus a per-cell watchdog over lease
+//! ages), panics anywhere in job execution are
 //! contained to the job that caused them, and [`faults`] can
 //! deterministically inject cell panics, slow cells, lost leases, and
 //! dropped/garbled connections to prove each degradation mode end to end.
@@ -51,7 +50,6 @@ pub mod job;
 pub mod lease;
 pub mod protocol;
 pub mod runner;
-pub mod scheduler;
 pub mod server;
 
 pub use client::{Client, RetryPolicy};

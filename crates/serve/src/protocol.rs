@@ -131,7 +131,7 @@ pub struct LeaseGrant {
     /// Grid-cell index within the job, for cell leases.
     #[serde(default)]
     pub cell_index: Option<usize>,
-    /// The session's (pool-clamped) config, for cell leases.
+    /// The job's (pool-clamped) config, for cell leases.
     #[serde(default)]
     pub config: Option<cdcs_sim::SimConfig>,
     /// The cell itself, for cell leases.

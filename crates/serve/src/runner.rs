@@ -4,7 +4,7 @@
 //! blocking poll: the daemon holds it open for up to `poll_ms` until a
 //! unit becomes claimable), execute it (a grid cell via
 //! [`cdcs_sim::runner::run_cell`] on the shipped `(config, cell)` — the
-//! *same entry point* an in-process session worker uses, so the result is
+//! *same entry point* `run_grid`'s pool uses, so the result is
 //! bit-identical — or a whole analysis spec via `spec.run()`), heartbeat
 //! while working, and post the result. Each runner keeps one heartbeat
 //! thread, told when a lease starts and ends, so a lease costs the cell's
@@ -32,8 +32,8 @@
 
 use crate::client::RetryPolicy;
 use crate::http;
-use crate::job::panic_message;
 use crate::protocol::{LeaseGrant, LeaseResult, PollReply, RegisterReply, RunnerHello};
+use cdcs_sim::session::panic_message;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;

@@ -1,4 +1,4 @@
-//! The experiment daemon: HTTP front end over the scheduler and the fleet.
+//! The experiment daemon: HTTP front end over the fleet's job rotation.
 //! Its `--workers N` threads are in-process runners (`local-0`, …) on the
 //! same lease path ([`crate::fleet`]) the `cdcs-runner` routes below use.
 //!
@@ -19,8 +19,8 @@
 //! * `GET /jobs/<id>/report` — the finished [`ExperimentReport`] JSON,
 //!   byte-equal to the `out/<name>.json` artifact the same spec produces
 //!   in process; `409` while the job is still running.
-//! * `DELETE /jobs/<id>` — cancels via the session's token; replies with
-//!   the job's status.
+//! * `DELETE /jobs/<id>` — cancels the job: no further cell is issued,
+//!   cells already running finish; replies with the job's status.
 //! * `GET /healthz` — liveness probe.
 //!
 //! Fleet routes (the `cdcs-runner` worker protocol, see [`crate::fleet`]):
@@ -52,13 +52,12 @@ use crate::client::RetryPolicy;
 use crate::faults::{ConnFault, FaultPlan};
 use crate::fleet::{Fleet, FleetConfig};
 use crate::http::{read_request, write_response, Request, RequestError};
-use crate::job::{Job, JobOptions, WorkUnit};
+use crate::job::{Job, JobOptions};
 use crate::protocol::{
     AckReply, ErrorReply, JobList, JobStatus, LeaseGrant, LeaseResult, PollReply, RegisterReply,
     RunnerHello, SubmitReply,
 };
 use crate::runner::{run_loop, Link, PollFailure};
-use crate::scheduler::Scheduler;
 use cdcs_bench::exp::ExperimentSpec;
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
@@ -128,7 +127,6 @@ pub struct ShutdownReport {
 struct ServerState {
     jobs: Mutex<Vec<Arc<Job>>>,
     next_id: AtomicU64,
-    sched: Arc<Scheduler>,
     admission: Admission,
     fleet: Fleet,
     workers: usize,
@@ -175,7 +173,6 @@ impl JobServer {
         let state = Arc::new(ServerState {
             jobs: Mutex::new(Vec::new()),
             next_id: AtomicU64::new(0),
-            sched: Arc::new(Scheduler::new()),
             admission: Admission::new(config.tenant_limit, config.queue_cap),
             fleet: Fleet::new(config.fleet, Arc::clone(&config.faults)),
             workers: config.workers,
@@ -228,7 +225,7 @@ impl JobServer {
     /// The claim sequence so far (job ids, in claim order) — the fairness
     /// tests assert concurrent jobs alternate here.
     pub fn claim_log(&self) -> Vec<u64> {
-        self.state.sched.claim_log()
+        self.state.fleet.claim_log()
     }
 
     /// Submits a spec directly (the HTTP-free path for embedding and
@@ -271,7 +268,7 @@ impl JobServer {
     fn stop(&self) {
         self.state.draining.store(true, Ordering::SeqCst);
         self.state.stopping.store(true, Ordering::SeqCst);
-        self.state.sched.stop();
+        self.state.fleet.stop();
         // Unblock `listener.incoming()` with one throwaway connection.
         let _ = TcpStream::connect(self.addr);
     }
@@ -365,7 +362,7 @@ impl ServerState {
             }
             jobs.push(Arc::clone(&job));
         }
-        self.sched.enqueue(job);
+        self.fleet.enqueue(job);
         Ok(id)
     }
 
@@ -383,21 +380,23 @@ impl ServerState {
     /// and fleet lease/runner expiry (revoke-and-requeue).
     fn watchdog_loop(&self) {
         while !self.stopping.load(Ordering::SeqCst) {
-            self.fleet.tick(&self.sched);
-            let jobs: Vec<Arc<Job>> = self.lock_jobs().clone();
-            for job in jobs {
-                if job.is_active() && job.deadline.is_some_and(|d| Instant::now() >= d) {
-                    job.expire_deadline();
-                }
+            self.fleet.tick();
+            // Only jobs past their deadline are locked: the plain
+            // `deadline` field picks them out under the jobs lock alone.
+            let now = Instant::now();
+            let expired: Vec<Arc<Job>> = self
+                .lock_jobs()
+                .iter()
+                .filter(|job| job.deadline.is_some_and(|d| now >= d))
+                .cloned()
+                .collect();
+            for job in expired {
+                job.expire_deadline();
             }
             if let Some(timeout) = self.cell_timeout {
                 for (job, unit, age) in self.fleet.overdue(timeout) {
-                    let cell = match unit {
-                        WorkUnit::Cell(i) => i,
-                        WorkUnit::Inline => 0,
-                    };
                     job.fail_with(format!(
-                        "cell {cell} exceeded the {}ms per-cell watchdog \
+                        "cell {unit} exceeded the {}ms per-cell watchdog \
                          (running for {}ms)",
                         timeout.as_millis(),
                         age.as_millis()
@@ -485,7 +484,6 @@ impl ServerState {
             }),
             ("DELETE", ["jobs", id]) => self.with_job(id, |job| {
                 job.cancel();
-                job.try_finalize();
                 Reply::json(&job.status())
             }),
             (method, ["jobs", ..]) => Reply::error(
@@ -498,14 +496,14 @@ impl ServerState {
             ("POST", ["fleet", "runners", id, "poll"]) => with_wait(&request.path, |wait| {
                 with_id(id, "runner", |id| {
                     let wait = wait.unwrap_or(Duration::ZERO);
-                    match self.fleet.poll(id, &self.sched, wait) {
+                    match self.fleet.poll(id, wait) {
                         Ok(lease) => Reply::json(&PollReply { lease }),
                         Err(message) => Reply::error(404, "Not Found", &message),
                     }
                 })
             }),
             ("DELETE", ["fleet", "runners", id]) => with_id(id, "runner", |id| {
-                if self.fleet.deregister(id, &self.sched) {
+                if self.fleet.deregister(id) {
                     Reply::json(&AckReply { ok: true })
                 } else {
                     Reply::error(404, "Not Found", &format!("no runner {id}"))
@@ -638,7 +636,7 @@ impl Link for ServerState {
 
     fn poll(&self, runner_id: u64, wait: Duration) -> Result<Option<LeaseGrant>, PollFailure> {
         self.fleet
-            .poll(runner_id, &self.sched, wait)
+            .poll(runner_id, wait)
             .map_err(|_| PollFailure::Forgotten)
     }
 
@@ -651,7 +649,7 @@ impl Link for ServerState {
     }
 
     fn deregister(&self, runner_id: u64) {
-        self.fleet.deregister(runner_id, &self.sched);
+        self.fleet.deregister(runner_id);
     }
 }
 

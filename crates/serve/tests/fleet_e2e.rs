@@ -393,6 +393,39 @@ fn a_blocked_poll_is_handed_a_job_submitted_while_it_waits() {
 }
 
 #[test]
+fn a_blocked_poll_is_handed_a_cell_re_queued_while_it_waits() {
+    let server = fleet_server(Duration::from_secs(5), Duration::from_secs(20), "");
+    let addr = server.addr().to_string();
+    let holder = register(&addr, "holder");
+    let waiter = register(&addr, "waiter");
+    let spec_json = serde_json::to_string(&cells_spec("requeued_job", &["milc"])).unwrap();
+    let id = Client::new(addr.clone())
+        .submit(&spec_json)
+        .expect("submit");
+    let held = poll_until_lease(&addr, holder.runner_id);
+    assert_eq!(held.job_id, id);
+
+    // The only cell is out, so the waiter's poll blocks; deregistering
+    // the holder re-queues that cell at once.
+    let poll_addr = addr.clone();
+    let blocked =
+        std::thread::spawn(move || poll_waiting(&poll_addr, waiter.runner_id, "?wait_ms=5000"));
+    std::thread::sleep(Duration::from_millis(200));
+    let path = format!("/fleet/runners/{}", holder.runner_id);
+    let response = http::request(&addr, "DELETE", &path, &[], None).expect("deregister");
+    assert_eq!(response.status, 200);
+
+    let (lease, held_for) = blocked.join().expect("waiting poll");
+    let lease = lease.expect("the waiting poll is granted the re-queued cell");
+    assert_eq!((lease.job_id, lease.cell_index), (id, held.cell_index));
+    assert!(
+        held_for < Duration::from_millis(1500),
+        "the poll slept past the re-queue ({held_for:?}) instead of waking on it"
+    );
+    server.shutdown();
+}
+
+#[test]
 fn a_runner_blocking_in_polls_is_never_expired_mid_poll() {
     // runner_ttl 600 ms: every wait is capped at 300 ms, so a runner that
     // asks for far longer waits still checks in often enough to live.

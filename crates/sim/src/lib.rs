@@ -20,11 +20,9 @@
 //!   energy breakdown — everything the paper's figures plot.
 //! * [`runner`] — weighted-speedup methodology helpers: alone-IPC
 //!   calibration runs and scheme comparisons normalized to S-NUCA.
-//! * [`session`] — the streaming execution layer under every grid wave:
-//!   a [`GridSession`] claims cells into a bounded worker pool, streams
-//!   completed `(cell, result)` pairs as they finish, and supports
-//!   cancellation and live progress (what the `cdcs-serve` experiment
-//!   daemon schedules concurrent jobs on).
+//! * [`session`] — the pool under every grid wave: scoped workers claim
+//!   cell indices from one atomic counter (the `cdcs-serve` daemon leases
+//!   the same cells one by one instead, through [`runner::run_cell`]).
 //!
 //! # Example: one small mix under two schemes
 //!
@@ -60,4 +58,3 @@ pub use engine::{SimResult, Simulation, SHARD_SEQ_THRESHOLD};
 pub use memory::MemoryModel;
 pub use metrics::{SystemMetrics, ThreadMetrics};
 pub use scheme::{MoveScheme, Scheme, ThreadSched};
-pub use session::{CancelToken, CellDone, GridSession, SessionOptions, SessionProgress};

@@ -9,7 +9,7 @@
 //! not have).
 
 use crate::config::ConfigPatch;
-use crate::session::GridSession;
+use crate::session::{clamp_intra_cell, run_cells};
 use crate::{Scheme, SimConfig, SimResult, Simulation};
 use cdcs_workload::{AppProfile, WorkloadMix};
 use serde::{Deserialize, Serialize};
@@ -97,9 +97,9 @@ impl GridCell {
 /// Runs one grid cell: `config` with the cell's patch, scheme, and seed
 /// applied, driven in the cell's run mode.
 ///
-/// Public because it is the fleet execution seam: a remote `cdcs-runner`
-/// receives `(config, cell)` over the wire and must run it exactly as a
-/// local session worker would — same entry point, bit-identical result.
+/// Public because it is the fleet execution seam: a `cdcs-serve` runner
+/// receives `(config, cell)` in a lease and must run it exactly as
+/// [`run_grid`]'s pool would — same entry point, bit-identical result.
 ///
 /// # Errors
 ///
@@ -123,69 +123,45 @@ pub fn run_cell(config: &SimConfig, cell: &GridCell) -> Result<SimResult, String
     })
 }
 
-/// Collects a finished-or-finishing session into cell-order results,
-/// returning the first error in *cell* order (the pre-session `run_grid`
-/// contract). All cells run to completion even when an early one errors.
-fn collect_session(session: GridSession) -> Result<Vec<SimResult>, String> {
-    session
-        .join()
-        .into_iter()
-        .map(|slot| slot.expect("uncancelled session issues every cell"))
-        .collect()
-}
-
 /// Runs every cell of an experiment grid across all cores.
 ///
-/// Thin collector over a [`GridSession`]: cells are claimed from a shared
-/// queue by a bounded worker pool (simulation cost varies widely between
-/// schemes and mixes, so static partitioning would leave cores idle) and
-/// results stream back as they finish. Every cell derives its RNG state
-/// from `(config, cell)` alone — never from worker identity or execution
+/// Cells are claimed one at a time by a pool of scoped workers (simulation
+/// cost varies widely between schemes and mixes, so static partitioning
+/// would leave cores idle). Every cell derives its RNG state from
+/// `(config, cell)` alone — never from worker identity or execution
 /// order — so the results are identical to [`run_grid_serial`]
 /// cell-for-cell, byte-for-byte (the equivalence tests assert this).
-/// `RAYON_NUM_THREADS=1` forces serial execution through the same
-/// claim/run path. Callers that want the stream itself — progress,
-/// cancellation, per-cell latency — hold the session directly (the
-/// `cdcs-serve` daemon does).
+/// With one worker available (`RAYON_NUM_THREADS=1`, or a one-cell grid)
+/// the cells run on the calling thread.
 ///
 /// When `config.intra_cell_threads` asks for intra-cell workers too, the
 /// inner worker count is clamped so that
 /// `outer × inner` never exceeds the machine: wide grids keep cell-level
 /// parallelism (the better-scaling axis) and shed inner workers; a 1-cell
-/// "grid" keeps its full intra-cell fan-out (see
-/// [`crate::session::clamp_intra_cell`]). The clamp cannot change any
-/// result — the pipeline is bit-identical for every worker count.
+/// "grid" keeps its full intra-cell fan-out (see [`clamp_intra_cell`]).
+/// The clamp cannot change any result — the pipeline is bit-identical for
+/// every worker count.
 ///
 /// # Errors
 ///
-/// Returns the first cell's construction error, if any.
+/// Every cell runs to completion; the first error in *cell* order (a
+/// construction error, or a panic caught as `cell {i} panicked: …`) is
+/// returned.
 pub fn run_grid(config: &SimConfig, cells: &[GridCell]) -> Result<Vec<SimResult>, String> {
-    let machine = rayon::current_num_threads();
-    let outer = machine.min(cells.len().max(1));
-    if outer <= 1 {
-        // One-worker pool: drive the session on the calling thread (no
-        // spawns), preserving the intra-cell clamp semantics.
-        let session = GridSession::queued(
-            &crate::session::clamp_intra_cell(config, outer),
-            cells.to_vec(),
-        );
-        session.drive();
-        return collect_session(session);
-    }
-    collect_session(GridSession::spawn(config, cells.to_vec(), outer))
+    let outer = rayon::current_num_threads().min(cells.len().max(1));
+    run_cells(&clamp_intra_cell(config, outer), cells, outer)
+        .into_iter()
+        .collect()
 }
 
-/// Serial reference for [`run_grid`]: same cells, same order, one core —
-/// a session driven to completion on the calling thread, with no pool
-/// clamp applied to `config.intra_cell_threads`.
+/// Serial reference for [`run_grid`]: same cells, same order, one core,
+/// with no pool clamp applied to `config.intra_cell_threads`.
 ///
 /// # Errors
 ///
-/// Returns the first cell's construction error, if any.
+/// Returns the first cell's error, if any.
 pub fn run_grid_serial(config: &SimConfig, cells: &[GridCell]) -> Result<Vec<SimResult>, String> {
-    let session = GridSession::queued(config, cells.to_vec());
-    session.drive();
-    collect_session(session)
+    run_cells(config, cells, 1).into_iter().collect()
 }
 
 /// Runs one process alone on the chip under S-NUCA and returns its

@@ -27,10 +27,10 @@
 //!   patches) expanded into one parallel grid wave, with structured
 //!   [`bench::exp::ExperimentReport`]s persisted as verified JSON
 //!   artifacts under `out/`.
-//! * [`serve`] (`cdcs-serve`) — the spec-serving experiment daemon and
-//!   client: specs in as JSON over HTTP, cells scheduled fairly across
-//!   one shared pool of streaming [`sim::GridSession`]s, reports out
-//!   byte-equal to the `out/` artifacts.
+//! * [`serve`] (`cdcs-serve`) — the spec-serving experiment daemon,
+//!   client and fleet runner: specs in as JSON over HTTP, cells leased
+//!   one at a time to local and remote runners, fairly across concurrent
+//!   jobs, reports out byte-equal to the `out/` artifacts.
 //!
 //! # Quickstart
 //!
